@@ -36,6 +36,7 @@ Package map (see DESIGN.md for the full inventory):
 from repro.core import (
     ConvolutionDistiller,
     DecomposedFourier,
+    ExplainConfig,
     ExplanationPipeline,
     MaskPlan,
     MaskSpec,
@@ -57,6 +58,7 @@ __version__ = "1.0.0"
 __all__ = [
     "ConvolutionDistiller",
     "DecomposedFourier",
+    "ExplainConfig",
     "ExplanationPipeline",
     "MaskPlan",
     "MaskSpec",

@@ -21,10 +21,13 @@ Layout mirrors Section III of the paper:
   through the common device interface (the "proposed approach" rows of
   the paper's tables);
 * :mod:`repro.core.pipeline`        -- the distill-then-interpret
-  workload that Table II times end to end.
+  workload that Table II times end to end;
+* :mod:`repro.core.config`          -- :class:`ExplainConfig`, the one
+  validated knob set the pipeline, fleet and service share.
 """
 
 from repro.core.backend import TpuBackend, make_tpu_chip, make_tpu_pod
+from repro.core.config import PLACEMENTS, ExplainConfig
 from repro.core.decomposition import (
     DecomposedFourier,
     DecompositionReport,
@@ -36,7 +39,6 @@ from repro.core.fleet import (
     FleetExecutor,
     FleetRun,
     FleetSchedule,
-    PLACEMENTS,
     PairResult,
     WavePlan,
     feed_bytes,
@@ -100,6 +102,7 @@ __all__ = [
     "TpuBackend",
     "make_tpu_chip",
     "make_tpu_pod",
+    "ExplainConfig",
     "PLACEMENTS",
     "DecomposedFourier",
     "DecompositionReport",

@@ -8,10 +8,10 @@ still paid one program dispatch, one infeed and one eager residual
 convolution *per pair*.  This module removes that last per-pair axis:
 
 * :class:`FleetSchedule` -- wave planning: pairs of equal plane shape
-  are grouped into **waves**, each wave sized to a configurable stack
-  budget (with lazy streaming, a single over-budget pair gets a wave of
-  its own instead of erroring -- only a plane that cannot fit at all
-  still raises :class:`~repro.core.masking.MaskStackBudgetError`);
+  are grouped into **waves**, budgeted chunk-adaptively -- the stack
+  budget bounds the streamed chunk, not the wave, so waves fuse up to
+  ``max_pairs_per_wave`` pairs and only a plane that cannot fit at all
+  raises :class:`~repro.core.masking.MaskStackBudgetError`;
 * :class:`FleetExecutor` -- wave execution: a wave's **lazy** mask
   plans (:class:`~repro.core.masking.MaskSpec`) stream, together with
   each pair's *unmasked* residual plane, through one conceptual
@@ -125,6 +125,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import ExplainConfig
 from repro.core.decomposition import shard_slices
 from repro.core.distillation import ConvolutionDistiller
 from repro.core.interpretation import element_scores_from_base
@@ -132,26 +133,19 @@ from repro.core.masking import (
     DEFAULT_CHUNK_ROWS,
     DEFAULT_STACK_BUDGET_BYTES,
     MaskSpec,
-    REDUCTIONS,
     SliceTable,
     check_stack_budget,
     effective_chunk_rows,
     reduce_batch,
 )
-from repro.core.transform import OutputEmbedding
 from repro.fft.convolution import fft_circular_convolve2d_chunks
 from repro.hw.device import Device, DeviceStats
-from repro.hw.pod import PodWaveStats, TpuPod
-from repro.hw.quantize import resolve_precision
+from repro.hw.pod import PodWaveStats, TpuPod, resolve_pod
 from repro.obs.tracer import tracer
 
 #: Trace lane (tid) fleet-stage spans use on each executing device's
 #: process row -- clear of the device lanes (0) and pod lanes (< 64).
 _FLEET_TID = 50
-
-GRANULARITIES = ("blocks", "columns", "rows", "elements")
-
-PLACEMENTS = ("data", "chunk", "wave")
 
 FLOAT_BYTES = 8  # the fused stack is materialized in float64
 
@@ -191,8 +185,8 @@ def streamed_chunk_nbytes(
     storage width for a quantized infeed -- clamped so the chunk fits
     ``max_stack_bytes`` (streaming needs at least one plane in flight).
     Independent of how many pairs the wave fuses, which is exactly why
-    :meth:`FleetSchedule.plan` under streaming lets waves grow past the
-    conceptual dense-stack budget.
+    :meth:`FleetSchedule.plan` lets waves grow past the conceptual
+    dense-stack budget.
     """
     m, n = (int(v) for v in plane_shape)
     rows = int(chunk_rows) if chunk_rows is not None else DEFAULT_CHUNK_ROWS
@@ -203,24 +197,6 @@ def streamed_chunk_nbytes(
     if max_stack_bytes is not None:
         rows = max(1, min(rows, max_stack_bytes // (m * n * itemsize)))
     return rows * m * n * itemsize
-
-
-def check_precision_granularity(spec, granularity: str) -> None:
-    """Reject lossy precisions for the ``elements`` granularity.
-
-    The single home of the rule both interpretation entry points
-    (:class:`FleetExecutor` and
-    :class:`~repro.core.pipeline.ExplanationPipeline`) enforce: the
-    elements granularity scores through the linearity fast path, whose
-    closed form assumes exact convolution arithmetic -- per-plane
-    quantization breaks it, so only exact specs (or ``None``) pass.
-    """
-    if spec is not None and not spec.is_exact and granularity == "elements":
-        raise ValueError(
-            "elements granularity scores through the linearity fast "
-            "path, which per-plane quantization breaks; use blocks/"
-            "columns/rows or an exact precision ('fp64'/'fp32')"
-        )
 
 
 @dataclass(frozen=True)
@@ -269,42 +245,27 @@ class FleetSchedule:
         max_stack_bytes: int | None = DEFAULT_STACK_BUDGET_BYTES,
         max_pairs_per_wave: int | None = None,
         complex_flags=None,
-        streaming: bool = False,
         chunk_rows: int | None = None,
         itemsize: int = FLOAT_BYTES,
-        dense_budget: bool = False,
     ) -> "FleetSchedule":
-        """Group pairs into budgeted waves.
+        """Group pairs into waves under chunk-adaptive budgeting.
 
         ``plane_shapes[i]`` is pair ``i``'s ``(M, N)`` plane;
         ``mask_counts[i]`` the number of masks its plan contributes (0
         for the ``elements`` fast path).  Every pair also contributes
-        one residual row.  A wave closes when its byte footprint would
-        pass ``max_stack_bytes`` (or its pair count
-        ``max_pairs_per_wave``).  An empty fleet plans to an empty
-        schedule -- the service layer's idle drain path.
+        one residual row.  An empty fleet plans to an empty schedule --
+        the service layer's idle drain path.
 
-        ``streaming`` selects what the footprint *is*.  ``False``
-        (dense semantics, the PR-2 contract): the wave stack would be
-        materialized, so the footprint is the conceptual
-        ``(rows, M, N)`` float64 stack and a pair that alone exceeds
-        the budget raises
-        :class:`~repro.core.masking.MaskStackBudgetError` up front.
-        ``True`` (the lazy executor, **chunk-adaptive budgeting**):
-        execution streams at most ``chunk_rows`` planes at a time, so
-        the wave's working set is its streamed chunk --
-        ``chunk_rows * M * N * itemsize``, with ``itemsize`` the
-        precision's storage width -- however many pairs the wave fuses.
-        The chunk footprint is pair-independent, so bytes never close a
-        streamed wave; waves grow to whatever the infeed pipeline can
-        overlap, bounded only by ``max_pairs_per_wave`` and shape/dtype
-        group boundaries.  Only a plane too large for the budget to
-        hold even a single ``M x N`` float row still raises.
-        ``dense_budget=True`` is the escape hatch restoring the
-        historical streamed semantics: the conceptual dense stack still
-        prices the wave (an over-budget pair closes the current wave
-        and takes one of its own), for callers that key other host
-        allocations off wave width.
+        Waves execute chunk-streamed, so a wave's working set is its
+        streamed chunk -- ``chunk_rows * M * N * itemsize``, with
+        ``itemsize`` the precision's storage width, clamped to
+        ``max_stack_bytes`` (:func:`streamed_chunk_nbytes`) -- however
+        many pairs it fuses.  That footprint does not grow with the
+        pairs, so bytes never close a wave in practice: waves grow to
+        whatever the infeed pipeline can overlap, bounded by
+        ``max_pairs_per_wave`` and shape/dtype group boundaries.  Only a
+        plane too large for the budget to hold a single ``M x N`` float
+        row raises :class:`~repro.core.masking.MaskStackBudgetError`.
 
         ``complex_flags[i]`` marks a pair whose convolutions are
         complex-valued.  Real and complex pairs never share a wave:
@@ -342,50 +303,25 @@ class FleetSchedule:
         waves: list[WavePlan] = []
         for (shape, _), indices in groups.items():
             m, n = shape
-            plane_bytes = m * n * FLOAT_BYTES
-            chunk_nbytes = 0
-            if streaming and not dense_budget:
-                # Chunk-adaptive budgeting: what this shape group holds
-                # in flight per wave -- chunk_rows planes at the
-                # streamed storage width, clamped to the budget.
-                chunk_nbytes = streamed_chunk_nbytes(
-                    shape, chunk_rows, itemsize, max_stack_bytes
-                )
+            chunk_nbytes = streamed_chunk_nbytes(
+                shape, chunk_rows, itemsize, max_stack_bytes
+            )
+            # Chunked execution bounds memory by the chunk, not the
+            # pair; only a single plane must fit the budget.
+            check_stack_budget(
+                m * n * FLOAT_BYTES,
+                max_stack_bytes,
+                what=f"streamed wave chunk for pair {indices[0]} (a single plane)",
+                bool_nbytes=m * n,
+            )
+            # Bytes close a wave only in the degenerate case where even
+            # one clamped chunk overflows the budget.
+            over_budget = (
+                max_stack_bytes is not None and chunk_nbytes > max_stack_bytes
+            )
             current: list[int] = []
             current_rows = 0
             for index in indices:
-                pair_rows = mask_counts[index] + 1  # masks + residual plane
-                if streaming:
-                    # Chunked execution bounds memory by the chunk, not
-                    # the pair; only a single plane must fit the budget.
-                    check_stack_budget(
-                        plane_bytes,
-                        max_stack_bytes,
-                        what=f"streamed wave chunk for pair {index} (a single plane)",
-                        bool_nbytes=m * n,
-                    )
-                else:
-                    check_stack_budget(
-                        pair_rows * plane_bytes,
-                        max_stack_bytes,
-                        what=f"wave stack for pair {index}",
-                        bool_nbytes=pair_rows * m * n,
-                    )
-                if streaming and not dense_budget:
-                    # The wave's working set is its streamed chunk, not
-                    # the conceptual dense stack -- and the chunk does
-                    # not grow with the pairs fused, so bytes close the
-                    # wave only in the degenerate case where even one
-                    # clamped chunk overflows the budget.
-                    over_budget = (
-                        max_stack_bytes is not None
-                        and chunk_nbytes > max_stack_bytes
-                    )
-                else:
-                    over_budget = (
-                        max_stack_bytes is not None
-                        and (current_rows + pair_rows) * plane_bytes > max_stack_bytes
-                    )
                 over_count = (
                     max_pairs_per_wave is not None
                     and len(current) >= max_pairs_per_wave
@@ -394,7 +330,7 @@ class FleetSchedule:
                     waves.append(WavePlan(tuple(current), shape, current_rows))
                     current, current_rows = [], 0
                 current.append(index)
-                current_rows += pair_rows
+                current_rows += mask_counts[index] + 1  # masks + residual plane
             if current:
                 waves.append(WavePlan(tuple(current), shape, current_rows))
         return cls(waves=tuple(waves))
@@ -430,26 +366,21 @@ class FleetRun:
 class FleetExecutor:
     """Distill-then-interpret a fleet of pairs, one program per wave.
 
-    Parameters mirror :class:`~repro.core.pipeline.ExplanationPipeline`
-    (which delegates its ``fusion="wave"`` axis here): ``granularity``
-    selects the mask family, ``block_shape`` the tile size for
-    ``blocks``, ``eps``/``embedding`` configure the per-pair
-    distillation solve, ``reduction``/``fill_value`` the Eq. 5 scoring.
-    ``max_stack_bytes`` still shapes wave splitting, but under streamed
-    execution it bounds the *chunk* (and must hold at least one plane;
-    ``None`` disables the guard); ``max_pairs_per_wave`` optionally caps
-    wave width, and ``chunk_rows`` sets how many masked planes stream
-    per chunk (default
-    :data:`~repro.core.masking.DEFAULT_CHUNK_ROWS`, clamped to the
-    budget).  ``precision`` selects the numeric mode of each wave's
-    batched convolution (see the module docstring); quantizing
-    precisions reject the ``elements`` granularity, whose linearity
-    fast path quantization breaks.  Wave planning is chunk-adaptive by
-    default (the budget bounds the streamed chunk, so waves fuse as
-    many pairs as ``max_pairs_per_wave`` allows);
-    ``dense_budget=True`` restores the historical dense-stack wave
-    budgeting, under which an over-budget pair closes the wave and
-    takes one of its own.
+    Parameters
+    ----------
+    device:
+        The backend every wave runs on, or a :class:`~repro.hw.pod
+        .TpuPod` whose chips the waves shard across.
+    config, **fields:
+        The explanation knobs -- granularity, precision, solve, scoring,
+        wave budgeting and pod placement -- documented once on
+        :class:`~repro.core.config.ExplainConfig`.  Keyword ``fields``
+        override ``config`` (``None`` starts from the field defaults).
+    num_chips, interconnect:
+        ``num_chips=K > 1`` replicates ``device`` into a
+        :class:`~repro.hw.pod.TpuPod` of K clones whose collectives are
+        priced on ``interconnect`` (see :func:`~repro.hw.pod
+        .resolve_pod`).
 
     Execution per wave: one ``device.program`` scope whose infeed is
     every fused pair's data and whose outfeed is their score planes;
@@ -467,75 +398,19 @@ class FleetExecutor:
     def __init__(
         self,
         device: Device,
-        granularity: str = "blocks",
-        block_shape: tuple[int, int] | None = None,
-        eps: float = 1e-6,
-        embedding: OutputEmbedding | None = None,
-        reduction: str = "l2",
-        fill_value: float = 0.0,
-        max_stack_bytes: int | None = DEFAULT_STACK_BUDGET_BYTES,
-        max_pairs_per_wave: int | None = None,
-        chunk_rows: int | None = None,
-        precision=None,
-        dense_budget: bool = False,
+        config: ExplainConfig | None = None,
+        *,
         num_chips: int | None = None,
-        placement: str = "data",
         interconnect=None,
-        hbm_bytes: int | None = None,
+        **fields,
     ) -> None:
-        if granularity not in GRANULARITIES:
-            raise ValueError(
-                f"unknown granularity {granularity!r}; expected one of {GRANULARITIES}"
-            )
-        if granularity == "blocks" and block_shape is None:
-            raise ValueError("blocks granularity requires a block_shape")
-        if reduction not in REDUCTIONS:
-            raise ValueError(
-                f"unknown reduction {reduction!r}; expected one of {REDUCTIONS}"
-            )
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-            )
-        self.precision = resolve_precision(precision)
-        check_precision_granularity(self.precision, granularity)
-        # Pod resolution: an explicit TpuPod device wins; otherwise
-        # num_chips > 1 replicates the given device into a fresh pod
-        # (num_chips=1/None keeps the plain single-device path, which
-        # retains chip-level infeed pipelining).
-        if isinstance(device, TpuPod):
-            if num_chips is not None and int(num_chips) != device.num_chips:
-                raise ValueError(
-                    f"num_chips={num_chips} disagrees with the supplied "
-                    f"{device.num_chips}-chip pod"
-                )
-            self.pod: TpuPod | None = device
-        elif num_chips is not None and int(num_chips) > 1:
-            self.pod = TpuPod.like(
-                device, int(num_chips), interconnect=interconnect,
-                hbm_bytes=hbm_bytes,
-            )
-        else:
-            self.pod = None
-        self.placement = placement
-        self.device = self.pod if self.pod is not None else device
-        if hbm_bytes is not None and int(hbm_bytes) <= 0:
-            raise ValueError(f"hbm_bytes must be positive, got {hbm_bytes}")
-        # The capacity knob: an explicit override, else whatever the
-        # device models (a pod reports its smallest member chip).  Kept
-        # separately from max_stack_bytes so schedule-time budgeting can
-        # clamp to it (see effective_stack_bytes).
-        self.hbm_bytes = None if hbm_bytes is None else int(hbm_bytes)
-        self.granularity = granularity
-        self.block_shape = block_shape
-        self.eps = eps
-        self.embedding = embedding or OutputEmbedding("identity")
-        self.reduction = reduction
-        self.fill_value = fill_value
-        self.max_stack_bytes = max_stack_bytes
-        self.max_pairs_per_wave = max_pairs_per_wave
-        self.chunk_rows = chunk_rows
-        self.dense_budget = dense_budget
+        self.config = ExplainConfig.resolve(config, **fields)
+        self.device = resolve_pod(
+            device, num_chips, interconnect, hbm_bytes=self.config.hbm_bytes
+        )
+        self.pod: TpuPod | None = (
+            self.device if isinstance(self.device, TpuPod) else None
+        )
 
     # ------------------------------------------------------------------
     # Planning
@@ -550,14 +425,15 @@ class FleetExecutor:
         reports its smallest member chip, the chip any placement
         decision must fit).  ``None`` only when neither bound exists.
         """
-        capacity = self.hbm_bytes
+        budget = self.config.max_stack_bytes
+        capacity = self.config.hbm_bytes
         if capacity is None:
             capacity = self.device.hbm_capacity_bytes
         if capacity is None:
-            return self.max_stack_bytes
-        if self.max_stack_bytes is None:
+            return budget
+        if budget is None:
             return capacity
-        return min(self.max_stack_bytes, capacity)
+        return min(budget, capacity)
 
     def plan_for(self, x: np.ndarray) -> MaskSpec | None:
         """The lazy mask plan this executor scores ``x`` with.
@@ -568,10 +444,11 @@ class FleetExecutor:
         :class:`~repro.core.masking.MaskSpec` once and hand it back to
         :meth:`run` via ``plans=`` for every request that reuses it.
         """
-        if self.granularity == "elements":
+        config = self.config
+        if config.granularity == "elements":
             return None  # linearity fast path: only the residual row
         return MaskSpec.for_granularity(
-            self.granularity, np.asarray(x).shape, block_shape=self.block_shape
+            config.granularity, np.asarray(x).shape, block_shape=config.block_shape
         )
 
     def schedule(self, pairs) -> FleetSchedule:
@@ -583,23 +460,22 @@ class FleetExecutor:
         return self._schedule(xs, ys, plans)
 
     def _schedule(self, xs, ys, plans) -> FleetSchedule:
+        config = self.config
         return FleetSchedule.plan(
             [x.shape for x in xs],
             [0 if plan is None else plan.num_masks for plan in plans],
             max_stack_bytes=self.effective_stack_bytes,
-            max_pairs_per_wave=self.max_pairs_per_wave,
+            max_pairs_per_wave=config.max_pairs_per_wave,
             complex_flags=[
                 np.iscomplexobj(x) or np.iscomplexobj(y)
                 for x, y in zip(xs, ys)
             ],
-            streaming=True,  # waves execute chunk-streamed, never dense
-            chunk_rows=self.chunk_rows,
+            chunk_rows=config.chunk_rows,
             itemsize=(
                 FLOAT_BYTES
-                if self.precision is None
-                else self.precision.bytes_per_element
+                if config.precision is None
+                else config.precision.bytes_per_element
             ),
-            dense_budget=self.dense_budget,
         )
 
     @staticmethod
@@ -615,8 +491,9 @@ class FleetExecutor:
         plans = list(plans)
         if len(plans) != len(xs):
             raise ValueError(f"{len(plans)} plans for {len(xs)} pairs")
+        granularity = self.config.granularity
         for x, plan in zip(xs, plans):
-            if self.granularity == "elements":
+            if granularity == "elements":
                 if plan is not None:
                     raise ValueError(
                         "elements granularity takes no mask plan (the "
@@ -625,7 +502,7 @@ class FleetExecutor:
                 continue
             if plan is None:
                 raise ValueError(
-                    f"{self.granularity} granularity needs a mask plan per pair"
+                    f"{granularity} granularity needs a mask plan per pair"
                 )
             if tuple(plan.plane_shape) != tuple(x.shape):
                 raise ValueError(
@@ -677,7 +554,9 @@ class FleetExecutor:
                 {
                     "waves": schedule.num_waves,
                     "pairs": len(pairs),
-                    "placement": self.placement if self.pod is not None else "single",
+                    "placement": (
+                        self.config.placement if self.pod is not None else "single"
+                    ),
                     "pipelined": pipelined,
                 },
             )
@@ -697,27 +576,23 @@ class FleetExecutor:
                 self._run_wave(wave, xs, ys, plans, results)
         return FleetRun(results=tuple(results), schedule=schedule)
 
-    def _wave_chunks(self, wave: WavePlan, xs, plans, rows_per_chunk: int):
-        """Generate the wave's conceptual stack chunk by chunk.
+    def _wave_io(self, indices, xs, ys) -> tuple[int, int]:
+        """Host-link bytes of a (sub-)wave: its pairs in, their scores out.
 
-        Yields ``(chunk, row_range)`` covering, for each fused pair,
-        its lazily generated masked variants followed by its unmasked
-        residual plane -- the same row layout the
-        :class:`~repro.core.masking.SliceTable` records, without ever
-        concatenating (or even holding) the full stack.
+        Quantized waves stream their pairs at the spec's storage width
+        (fp64 reproduces the legacy float64 feed); scores stream back
+        dequantized, at full width.
         """
-        row = 0
-        for i in wave.pair_indices:
-            plan = plans[i]
-            if plan is not None:
-                base = row
-                for masked, rows in plan.apply_chunks(
-                    xs[i], fill_value=self.fill_value, chunk_rows=rows_per_chunk
-                ):
-                    yield masked, range(base + rows.start, base + rows.stop)
-                row += plan.num_masks
-            yield np.asarray(xs[i])[np.newaxis], range(row, row + 1)
-            row += 1
+        infeed = feed_bytes(
+            [a for i in indices for a in (xs[i], ys[i])], self.config.precision
+        )
+        return infeed, sum(xs[i].nbytes for i in indices)
+
+    def _rows_per_chunk(self, wave: WavePlan) -> int:
+        return effective_chunk_rows(
+            wave.plane_shape, self.config.chunk_rows, self.effective_stack_bytes,
+            what="streamed wave chunk",
+        )
 
     def _solve_kernels(self, device: Device, indices, xs, ys):
         """Per-pair Eq. 4 solves on ``device`` (inside a program scope)."""
@@ -727,7 +602,8 @@ class FleetExecutor:
         y_planes: list[np.ndarray] = []
         for i in indices:
             distiller = ConvolutionDistiller(
-                device=device, eps=self.eps, embedding=self.embedding
+                device=device, eps=self.config.eps,
+                embedding=self.config.embedding,
             )
             distiller.fit(xs[i], ys[i])
             kernels.append(distiller.kernel_)
@@ -743,24 +619,23 @@ class FleetExecutor:
         return kernels, y_planes
 
     def _assemble_results(
-        self, device, indices, xs, plans, kernels, y_planes,
-        mask_scores, residual_pred, results,
+        self, device, indices, xs, plans, kernels, y_planes, scores, results
     ) -> None:
         """Reassembly: fold each pair's streamed scores and residual."""
         traced = tracer.enabled
         start = device.trace_seconds if traced else 0.0
         for local, i in enumerate(indices):
-            pred = residual_pred[local]
+            pred = scores.residual_pred[local]
             delta = pred - y_planes[local]
             residual = float(np.sqrt(np.mean(np.abs(delta) ** 2)))
             if plans[i] is None:
-                scores = self._element_scores(
+                pair_scores = self._element_scores(
                     xs[i], kernels[local], y_planes[local], pred, device
                 )
             else:
-                scores = plans[i].reshape_scores(mask_scores[local])
+                pair_scores = plans[i].reshape_scores(scores.mask_scores[local])
             results[i] = PairResult(
-                kernel=kernels[local], scores=scores, residual=residual
+                kernel=kernels[local], scores=pair_scores, residual=residual
             )
         if traced and tracer.enabled:
             pid = tracer.pid_for(device)
@@ -772,41 +647,21 @@ class FleetExecutor:
             )
 
     def _run_wave(
-        self,
-        wave: WavePlan,
-        xs,
-        ys,
-        plans,
-        results,
-        device: Device | None = None,
-        infeed_bytes: int | None = None,
-        outfeed_bytes: int | None = None,
-    ) -> None:
+        self, wave: WavePlan, xs, ys, plans, results, device: Device | None = None
+    ) -> tuple[int, int]:
         """Execute one (sub-)wave as a single program on ``device``.
 
         The single-chip hot path, also reused verbatim by the pod's
         ``data`` placement for each chip's pair shard and by the
         ``wave`` placement for each pinned wave -- ``device`` overrides
-        the executor's own device, and ``infeed_bytes`` /
-        ``outfeed_bytes`` override the program's host-link charges
-        (each pod chip streams exactly its own shard's bytes over its
-        own :class:`~repro.hw.pod.HostLink`).
+        the executor's own device, so each pod chip streams exactly its
+        own shard's bytes over its own :class:`~repro.hw.pod.HostLink`.
+        Returns the program's ``(infeed, outfeed)`` host-link bytes.
         """
         device = self.device if device is None else device
         indices = wave.pair_indices
-        # Quantized waves stream their pairs at the spec's storage width
-        # (fp64 reproduces the legacy float64 feed); scores stream back
-        # dequantized, at full width.
-        if infeed_bytes is None:
-            infeed_bytes = feed_bytes(
-                [a for i in indices for a in (xs[i], ys[i])], self.precision
-            )
-        if outfeed_bytes is None:
-            outfeed_bytes = sum(xs[i].nbytes for i in indices)
-        rows_per_chunk = effective_chunk_rows(
-            wave.plane_shape, self.chunk_rows, self.effective_stack_bytes,
-            what="streamed wave chunk",
-        )
+        infeed_bytes, outfeed_bytes = self._wave_io(indices, xs, ys)
+        rows_per_chunk = self._rows_per_chunk(wave)
         traced = tracer.enabled
         wave_start = device.trace_seconds if traced else 0.0
         with device.program(infeed_bytes=infeed_bytes, outfeed_bytes=outfeed_bytes):
@@ -817,51 +672,21 @@ class FleetExecutor:
             # residual planes flow through one chunked batched
             # convolution; mask rows reduce to scores on the spot, and
             # only the P residual predictions are retained as planes.
-            table = SliceTable.for_plans([plans[i] for i in indices])
-            row_pair = table.row_pair_indices()
-            row_is_mask = np.asarray([r.kind == "mask" for r in table.rows])
-            convolved_chunks = device.conv2d_circular_batch_chunks(
-                self._wave_chunks(wave, xs, plans, rows_per_chunk),
+            scores = _WaveScores(indices, plans, y_planes, self.config.reduction)
+            for convolved, rows in device.conv2d_circular_batch_chunks(
+                self._window_chunks(
+                    wave, xs, plans, scores.pair_base, 0, scores.num_rows,
+                    rows_per_chunk,
+                ),
                 np.stack(kernels),
-                num_rows=len(table),
-                row_kernel=row_pair,
-                precision=self.precision,
-            )
-            mask_scores = {
-                local: np.empty(plans[i].num_masks)
-                for local, i in enumerate(indices)
-                if plans[i] is not None
-            }
-            cursors = dict.fromkeys(mask_scores, 0)
-            residual_pred: dict[int, np.ndarray] = {}
-            for convolved, rows in convolved_chunks:
-                offset = 0
-                while offset < len(convolved):
-                    row = rows.start + offset
-                    if not row_is_mask[row]:
-                        residual_pred[row_pair[row]] = convolved[offset]
-                        offset += 1
-                        continue
-                    # Contiguous run of mask rows sharing one pair.
-                    stop = offset + 1
-                    while (
-                        rows.start + stop < rows.stop
-                        and row_is_mask[rows.start + stop]
-                        and row_pair[rows.start + stop] == row_pair[row]
-                    ):
-                        stop += 1
-                    local = int(row_pair[row])
-                    deltas = y_planes[local][np.newaxis] - convolved[offset:stop]
-                    cursor = cursors[local]
-                    mask_scores[local][cursor : cursor + stop - offset] = reduce_batch(
-                        deltas, self.reduction
-                    )
-                    cursors[local] = cursor + stop - offset
-                    offset = stop
+                num_rows=scores.num_rows,
+                row_kernel=scores.row_pair,
+                precision=self.config.precision,
+            ):
+                scores.fold(convolved, rows.start)
 
             self._assemble_results(
-                device, indices, xs, plans, kernels, y_planes,
-                mask_scores, residual_pred, results,
+                device, indices, xs, plans, kernels, y_planes, scores, results
             )
         if traced and tracer.enabled:
             pid = tracer.pid_for(device)
@@ -871,6 +696,7 @@ class FleetExecutor:
                 device.trace_seconds - wave_start, pid, _FLEET_TID,
                 {"pairs": len(indices), "rows": wave.num_rows},
             )
+        return infeed_bytes, outfeed_bytes
 
     # ------------------------------------------------------------------
     # Pod execution: one wave sharded across K chips
@@ -878,12 +704,13 @@ class FleetExecutor:
     def _run_pod(self, schedule, xs, ys, plans, results, pipelined: bool) -> None:
         """Drive every wave across the pod's chips and commit the ledger."""
         pod = self.pod
+        placement = self.config.placement
         wave_stats: list[PodWaveStats] = []
         for wave_index, wave in enumerate(schedule.waves):
             before = [d.stats.seconds for d in pod.devices]
-            if self.placement == "chunk":
+            if placement == "chunk":
                 collectives = self._run_wave_chunked(pod, wave, xs, ys, plans, results)
-            elif self.placement == "wave":
+            elif placement == "wave":
                 collectives = self._run_wave_on_chip(
                     pod, wave, wave_index, xs, ys, plans, results
                 )
@@ -896,7 +723,7 @@ class FleetExecutor:
             wave_stats.append(
                 PodWaveStats(
                     wave_index=wave_index,
-                    placement=self.placement,
+                    placement=placement,
                     num_pairs=wave.num_pairs,
                     num_rows=wave.num_rows,
                     chip_seconds=chip_seconds,
@@ -925,20 +752,10 @@ class FleetExecutor:
         outfeed_seconds = [0.0] * pod.num_chips
         for chip, pair_slice in enumerate(shard_slices(wave.num_pairs, active)):
             sub_indices = indices[pair_slice]
-            sub_rows = sum(
-                (plans[i].num_masks if plans[i] is not None else 0) + 1
-                for i in sub_indices
-            )
+            sub_rows = sum(_pair_rows(plans[i]) for i in sub_indices)
             shard = WavePlan(tuple(sub_indices), wave.plane_shape, sub_rows)
-            shard_feed = feed_bytes(
-                [a for i in sub_indices for a in (xs[i], ys[i])], self.precision
-            )
-            shard_out = sum(xs[i].nbytes for i in sub_indices)
-            self._run_wave(
-                shard, xs, ys, plans, results,
-                device=pod.devices[chip],
-                infeed_bytes=shard_feed,
-                outfeed_bytes=shard_out,
+            shard_feed, shard_out = self._run_wave(
+                shard, xs, ys, plans, results, device=pod.devices[chip]
             )
             link = pod.host_links[chip]
             infeed_seconds[chip] = link.feed_seconds(shard_feed)
@@ -965,16 +782,8 @@ class FleetExecutor:
         at all: nothing is sharded, so nothing is exchanged.
         """
         chip = wave_index % pod.num_chips
-        indices = wave.pair_indices
-        infeed = feed_bytes(
-            [a for i in indices for a in (xs[i], ys[i])], self.precision
-        )
-        outfeed = sum(xs[i].nbytes for i in indices)
-        self._run_wave(
-            wave, xs, ys, plans, results,
-            device=pod.devices[chip],
-            infeed_bytes=infeed,
-            outfeed_bytes=outfeed,
+        infeed, outfeed = self._run_wave(
+            wave, xs, ys, plans, results, device=pod.devices[chip]
         )
         link = pod.host_links[chip]
         infeed_seconds = [0.0] * pod.num_chips
@@ -993,12 +802,14 @@ class FleetExecutor:
     def _window_chunks(self, wave, xs, plans, pair_base, lo, hi, rows_per_chunk):
         """Chunks of the wave stack restricted to global rows ``[lo, hi)``.
 
-        The windowed sibling of :meth:`_wave_chunks`: for every fused
-        pair whose rows intersect the window it yields the pair's masked
-        variants (via the windowed
+        For every fused pair whose rows intersect the window it yields
+        the pair's lazily generated masked variants (via the windowed
         :meth:`~repro.core.masking.MaskSpec.apply_chunks`) and -- when
         the window covers it -- the pair's unmasked residual plane, with
-        *global* row ranges.
+        *global* row ranges: the row layout the
+        :class:`~repro.core.masking.SliceTable` records, without ever
+        concatenating (or even holding) the stack.  ``[0, num_rows)`` is
+        the whole wave.
         """
         for local, i in enumerate(wave.pair_indices):
             base = pair_base[local]
@@ -1009,7 +820,7 @@ class FleetExecutor:
             if mask_lo < mask_hi:
                 for masked, rows in plan.apply_chunks(
                     xs[i],
-                    fill_value=self.fill_value,
+                    fill_value=self.config.fill_value,
                     chunk_rows=rows_per_chunk,
                     start=mask_lo - base,
                     stop=mask_hi - base,
@@ -1020,62 +831,29 @@ class FleetExecutor:
                 yield np.asarray(xs[i])[np.newaxis], range(residual_row, residual_row + 1)
 
     def _stream_rows(
-        self, device, wave, xs, plans, kernel_stack, row_pair, row_is_mask,
-        pair_base, y_planes, mask_scores, residual_pred, lo, hi, rows_per_chunk,
-        record: bool = True,
+        self, wave, xs, plans, kernel_stack, scores, lo, hi, rows_per_chunk
     ) -> None:
         """Convolve + reduce global rows ``[lo, hi)`` of a wave on one chip.
 
         The chunk-placement worker: kernels were solved (and their one
-        spectrum batch recorded) on chip 0 and broadcast, so this chip
-        records only its window's share of the batched convolution
-        (:meth:`~repro.hw.device.Device._record_batch_conv`) and runs
-        the functional stream directly.  Scores land at their absolute
-        positions in the per-pair score vectors, so any partition of the
-        row space reassembles the same arrays.  ``record=False`` skips
-        the ledger row -- the overlapped placement streams one window
-        per pair and prices the chip's whole row share as a single
-        batched record instead of one per window.
+        spectrum batch recorded) on chip 0 and broadcast, so this runs
+        the functional stream directly; the caller prices the chip's
+        whole row share as a single batched record.
         """
-        m, n = wave.plane_shape
         local_chunks = (
             (chunk, range(rows.start - lo, rows.stop - lo))
             for chunk, rows in self._window_chunks(
-                wave, xs, plans, pair_base, lo, hi, rows_per_chunk
+                wave, xs, plans, scores.pair_base, lo, hi, rows_per_chunk
             )
         )
-        convolved_chunks = fft_circular_convolve2d_chunks(
+        for convolved, local_rows in fft_circular_convolve2d_chunks(
             local_chunks,
             kernel_stack,
-            row_kernel=row_pair[lo:hi],
+            row_kernel=scores.row_pair[lo:hi],
             num_rows=hi - lo,
-            precision=self.precision,
-        )
-        if record:
-            device._record_batch_conv(hi - lo, m, n, spec=self.precision)
-        for convolved, local_rows in convolved_chunks:
-            offset = 0
-            while offset < len(convolved):
-                row = lo + local_rows.start + offset
-                if not row_is_mask[row]:
-                    residual_pred[int(row_pair[row])] = convolved[offset]
-                    offset += 1
-                    continue
-                # Contiguous run of mask rows sharing one pair.
-                stop = offset + 1
-                while (
-                    local_rows.start + stop < local_rows.stop
-                    and row_is_mask[lo + local_rows.start + stop]
-                    and row_pair[lo + local_rows.start + stop] == row_pair[row]
-                ):
-                    stop += 1
-                local = int(row_pair[row])
-                deltas = y_planes[local][np.newaxis] - convolved[offset:stop]
-                position = row - pair_base[local]
-                mask_scores[local][position : position + stop - offset] = reduce_batch(
-                    deltas, self.reduction
-                )
-                offset = stop
+            precision=self.config.precision,
+        ):
+            scores.fold(convolved, lo + local_rows.start)
 
     @staticmethod
     def _overlap_windows(pair_row_counts, pair_base, active: int, root_rows: int):
@@ -1183,30 +961,12 @@ class FleetExecutor:
         single-chip wave.
         """
         indices = wave.pair_indices
+        precision = self.config.precision
         traced = tracer.enabled
         wave_start = pod.devices[0].trace_seconds if traced else 0.0
-        table = SliceTable.for_plans([plans[i] for i in indices])
-        row_pair = table.row_pair_indices()
-        row_is_mask = np.asarray([r.kind == "mask" for r in table.rows])
-        num_rows = len(table)
-        active = min(pod.num_chips, num_rows)
         m, n = wave.plane_shape
-        full_infeed = feed_bytes(
-            [a for i in indices for a in (xs[i], ys[i])], self.precision
-        )
-        full_outfeed = sum(xs[i].nbytes for i in indices)
-        rows_per_chunk = effective_chunk_rows(
-            wave.plane_shape, self.chunk_rows, self.effective_stack_bytes,
-            what="streamed wave chunk",
-        )
-        pair_base: list[int] = []
-        pair_row_counts: list[int] = []
-        row = 0
-        for i in indices:
-            pair_base.append(row)
-            count = (plans[i].num_masks if plans[i] is not None else 0) + 1
-            pair_row_counts.append(count)
-            row += count
+        full_infeed, full_outfeed = self._wave_io(indices, xs, ys)
+        rows_per_chunk = self._rows_per_chunk(wave)
 
         # Root solve program: kernels plus the wave's one spectrum
         # batch, measured off the ledger so the row partition can
@@ -1217,19 +977,16 @@ class FleetExecutor:
             mark = root.stats.seconds
             kernels, y_planes = self._solve_kernels(root, indices, xs, ys)
             kernel_stack = np.stack(kernels)
-            root._record_kernel_spectra(len(kernels), m, n, spec=self.precision)
+            root._record_kernel_spectra(len(kernels), m, n, spec=precision)
             solve_seconds = root.stats.seconds - mark
-        mask_scores = {
-            local: np.empty(plans[i].num_masks)
-            for local, i in enumerate(indices)
-            if plans[i] is not None
-        }
-        residual_pred: dict[int, np.ndarray] = {}
+        scores = _WaveScores(indices, plans, y_planes, self.config.reduction)
+        num_rows = scores.num_rows
+        active = min(pod.num_chips, num_rows)
 
         # Solve-aware root share: the root streams fewer rows so it
         # finishes level with peers that start behind the spectrum
         # stream; in the solve-starved regime its share clamps to 0.
-        conv_total = root.batch_conv_seconds(num_rows, m, n, precision=self.precision)
+        conv_total = root.batch_conv_seconds(num_rows, m, n, precision=precision)
         if active == 1:
             root_rows = num_rows
         elif conv_total <= 0:
@@ -1241,7 +998,7 @@ class FleetExecutor:
             )
             root_rows = min(num_rows, max(0, int(balanced)))
         windows, chip_rows = self._overlap_windows(
-            pair_row_counts, pair_base, active, root_rows
+            scores.pair_rows, scores.pair_base, active, root_rows
         )
         per_chip_out = [
             int(round(full_outfeed * rows / num_rows)) for rows in chip_rows
@@ -1259,23 +1016,20 @@ class FleetExecutor:
                 outfeed_bytes=per_chip_out[chip],
             ):
                 for lo, hi in windows[chip]:
-                    if hi <= lo:
-                        continue
-                    self._stream_rows(
-                        device, wave, xs, plans, kernel_stack, row_pair,
-                        row_is_mask, pair_base, y_planes, mask_scores,
-                        residual_pred, lo, hi, rows_per_chunk, record=False,
-                    )
-                device._record_batch_conv(chip_rows[chip], m, n, spec=self.precision)
+                    if hi > lo:
+                        self._stream_rows(
+                            wave, xs, plans, kernel_stack, scores, lo, hi,
+                            rows_per_chunk,
+                        )
+                device._record_batch_conv(chip_rows[chip], m, n, spec=precision)
             launches += 1
             conv_seconds[chip] = device.batch_conv_seconds(
-                chip_rows[chip], m, n, precision=self.precision
+                chip_rows[chip], m, n, precision=precision
             )
         # Host-side reassembly on the root (complex elements pairs may
         # re-convolve eagerly there, as in single-chip execution).
         self._assemble_results(
-            root, indices, xs, plans, kernels, y_planes,
-            mask_scores, residual_pred, results,
+            root, indices, xs, plans, kernels, y_planes, scores, results
         )
         spectrum_bytes = m * n * COMPLEX_BYTES
         infeed_seconds = [0.0] * pod.num_chips
@@ -1346,5 +1100,69 @@ class FleetExecutor:
             kernel64 = np.asarray(kernel, dtype=np.float64)
         base = np.asarray(y_plane, dtype=np.float64) - pred
         return element_scores_from_base(
-            x64, kernel64, base, reduction=self.reduction, device=device
+            x64, kernel64, base, reduction=self.config.reduction, device=device
         )
+
+
+def _pair_rows(plan) -> int:
+    """Stack rows one pair contributes: its masks plus its residual plane."""
+    return (plan.num_masks if plan is not None else 0) + 1
+
+
+class _WaveScores:
+    """Streamed Eq. 5 reduction of one wave's convolved rows.
+
+    Holds the wave's row map (each row's pair and mask flag, each pair's
+    first row) and the score buffers it fills.  :meth:`fold` keeps
+    residual rows as planes and reduces each contiguous run of one
+    pair's mask rows to scores written at ``row - pair_base[pair]``, so
+    any partition of the row space -- the whole wave, or per-chip
+    windows -- reassembles the same arrays.
+    """
+
+    def __init__(self, indices, plans, y_planes, reduction: str) -> None:
+        table = SliceTable.for_plans([plans[i] for i in indices])
+        self.num_rows = len(table)
+        self.row_pair = table.row_pair_indices()
+        self.row_is_mask = np.asarray([r.kind == "mask" for r in table.rows])
+        self.pair_rows = [_pair_rows(plans[i]) for i in indices]
+        self.pair_base: list[int] = []
+        row = 0
+        for count in self.pair_rows:
+            self.pair_base.append(row)
+            row += count
+        self.y_planes = y_planes
+        self.reduction = reduction
+        self.mask_scores = {
+            local: np.empty(plans[i].num_masks)
+            for local, i in enumerate(indices)
+            if plans[i] is not None
+        }
+        self.residual_pred: dict[int, np.ndarray] = {}
+
+    def fold(self, convolved: np.ndarray, row0: int) -> None:
+        """Reduce one convolved chunk whose first row is global ``row0``."""
+        row_pair, row_is_mask = self.row_pair, self.row_is_mask
+        count = len(convolved)
+        offset = 0
+        while offset < count:
+            row = row0 + offset
+            local = int(row_pair[row])
+            if not row_is_mask[row]:
+                self.residual_pred[local] = convolved[offset]
+                offset += 1
+                continue
+            # Contiguous run of mask rows sharing one pair.
+            stop = offset + 1
+            while (
+                stop < count
+                and row_is_mask[row0 + stop]
+                and row_pair[row0 + stop] == local
+            ):
+                stop += 1
+            deltas = self.y_planes[local][np.newaxis] - convolved[offset:stop]
+            position = row - self.pair_base[local]
+            self.mask_scores[local][position : position + stop - offset] = (
+                reduce_batch(deltas, self.reduction)
+            )
+            offset = stop

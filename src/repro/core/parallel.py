@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core.config import ExplainConfig
 from repro.core.decomposition import DecomposedFourier, DecompositionReport, shard_slices
 from repro.core.fleet import FleetExecutor, FleetRun, FleetSchedule
 from repro.hw.tpu import TpuChip
@@ -185,28 +186,22 @@ class MultiInputScheduler:
     # Wave-fused fleet execution (the cross-pair batching layer)
     # ------------------------------------------------------------------
     def plan_waves(
-        self,
-        pairs,
-        granularity: str = "blocks",
-        block_shape: tuple[int, int] | None = None,
-        **executor_kwargs,
+        self, pairs, config: ExplainConfig | None = None, **fields
     ) -> FleetSchedule:
         """Wave-plan a fleet of pairs without executing it.
 
         Delegates to :class:`repro.core.fleet.FleetExecutor` planning:
         equal-shape pairs group into waves bounded by the stack budget.
         """
-        return self._fleet_executor(
-            granularity, block_shape, **executor_kwargs
-        ).schedule(pairs)
+        return self._fleet_executor(config, **fields).schedule(pairs)
 
     def explain_batch(
         self,
         pairs,
-        granularity: str = "blocks",
-        block_shape: tuple[int, int] | None = None,
+        config: ExplainConfig | None = None,
+        *,
         pipelined: bool = True,
-        **executor_kwargs,
+        **fields,
     ) -> FleetRun:
         """Explain a fleet of pairs on this chip, one program per wave.
 
@@ -220,7 +215,8 @@ class MultiInputScheduler:
         ``pipelined`` (default ``True``) double-buffers the waves --
         wave ``i+1``'s infeed overlaps wave ``i``'s compute, the chip
         ledger crediting the hidden time as an ``infeed_overlap`` event.
-        Executor options pass through ``executor_kwargs`` -- notably
+        Executor options -- an :class:`~repro.core.config.ExplainConfig`
+        and/or its keyword ``fields`` -- pass through, notably
         ``precision="int8"|"bf16"|"fp32"|"fp64"`` runs every wave's
         batched convolution in that numeric mode (quantized infeed and
         MXU-rate pricing, scores bit-identical to a quantized loop),
@@ -233,27 +229,15 @@ class MultiInputScheduler:
         zero simulated seconds, a zero ledger -- the serving layer's
         idle drain path.
         """
-        executor = self._fleet_executor(
-            granularity, block_shape, **executor_kwargs
-        )
+        executor = self._fleet_executor(config, **fields)
         executor.device.reset_stats()
         fleet = executor.run(pairs, pipelined=pipelined)
         return replace(fleet, stats=executor.device.take_stats())
 
-    def _fleet_executor(
-        self,
-        granularity: str,
-        block_shape: tuple[int, int] | None,
-        **executor_kwargs,
-    ) -> FleetExecutor:
+    def _fleet_executor(self, config, **fields) -> FleetExecutor:
         from repro.core.backend import TpuBackend
 
-        return FleetExecutor(
-            TpuBackend(self.chip),
-            granularity=granularity,
-            block_shape=block_shape,
-            **executor_kwargs,
-        )
+        return FleetExecutor(TpuBackend(self.chip), config, **fields)
 
 
 class _ChipView:

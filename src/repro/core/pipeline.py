@@ -63,25 +63,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import ExplainConfig
 from repro.core.distillation import ConvolutionDistiller
-from repro.core.fleet import (
-    GRANULARITIES,
-    PLACEMENTS,
-    FleetExecutor,
-    check_precision_granularity,
-    feed_bytes,
-)
-from repro.hw.pod import TpuPod
+from repro.core.fleet import FleetExecutor, feed_bytes
 from repro.core.interpretation import feature_contributions
-from repro.core.masking import (
-    DEFAULT_STACK_BUDGET_BYTES,
-    METHODS,
-    MaskPlan,
-    score_plan,
-)
-from repro.core.transform import OutputEmbedding
+from repro.core.masking import METHODS, MaskPlan, score_plan
 from repro.hw.device import Device, DeviceStats
-from repro.hw.quantize import resolve_precision
+from repro.hw.pod import TpuPod, resolve_pod
 
 FUSIONS = ("wave", "pair")
 
@@ -116,14 +104,15 @@ class ExplanationPipeline:
     Parameters
     ----------
     device:
-        Any backend implementing the device interface.
-    granularity:
-        ``blocks`` (Figure 5 images), ``columns`` (Figure 6 trace
-        tables), ``rows``, or ``elements``.
-    block_shape:
-        Tile size for ``blocks`` granularity.
-    eps, embedding:
-        Forwarded to :class:`ConvolutionDistiller`.
+        Any backend implementing the device interface, or a
+        :class:`~repro.hw.pod.TpuPod`.
+    config, **fields:
+        The explanation knobs -- granularity, block shape, precision,
+        solve, scoring, stack budget, streaming and pod placement --
+        documented once on :class:`~repro.core.config.ExplainConfig`.
+        Keyword ``fields`` override ``config`` (``None`` starts from the
+        field defaults).  ``chunk_rows``, ``max_pairs_per_wave`` and
+        ``placement`` shape wave fusion only.
     method:
         ``"batched"`` (default) scores each pair's whole mask plan as
         one batched device program; ``"loop"`` re-runs one masked
@@ -141,16 +130,6 @@ class ExplanationPipeline:
         :mod:`repro.core.fleet`); ``"pair"`` opens one program scope
         per pair.  Only consulted for ``method="batched"``; the loop
         method always executes per pair.
-    max_stack_bytes:
-        Memory budget for the batched method's float stacks.  Under
-        pair fusion (dense plans) exceeding it raises
-        :class:`~repro.core.masking.MaskStackBudgetError` pointing at
-        ``method="loop"``; under wave fusion execution *streams*
-        (lazy :class:`~repro.core.masking.MaskSpec` chunks), so the
-        budget bounds the per-chunk working set and wave splitting
-        instead of capping plan size -- only a plane too large for the
-        budget to hold one ``M x N`` float row still raises.  ``None``
-        disables the guard.
     pipelined:
         Wave fusion only: ``True`` (default) double-buffers wave
         execution -- wave ``i+1``'s dispatch + infeed overlaps wave
@@ -158,126 +137,56 @@ class ExplanationPipeline:
         hidden time credited back as a negative ``infeed_overlap``
         ledger row.  ``False`` preserves serial wave timing (results
         and per-op compute records are identical either way).
-    chunk_rows:
-        Masked planes generated/convolved per streamed chunk under wave
-        fusion (default
-        :data:`~repro.core.masking.DEFAULT_CHUNK_ROWS`, clamped to the
-        budget); peak streaming memory is ``O(chunk_rows * M * N)``.
-    max_pairs_per_wave:
-        Optional cap on pairs fused per wave (wave fusion only) --
-        the lever benchmarks use to trade per-wave batch width against
-        cross-wave infeed overlap.
-    dense_budget:
-        Wave fusion only.  ``False`` (default) plans waves
-        chunk-adaptively: the byte budget bounds the streamed chunk --
-        which does not grow with the pairs fused -- so waves grow to
-        what the infeed pipeline can overlap.  ``True`` restores the
-        historical dense-stack budgeting (an over-budget pair closes
-        the wave and takes one of its own).
-    precision:
-        Numeric mode of the interpretation convolutions: ``"fp64"`` /
-        ``"fp32"`` (exact), ``"bf16"`` or ``"int8"`` -- any name
-        :func:`repro.hw.quantize.precision_spec` accepts, or a
-        :class:`~repro.hw.quantize.PrecisionSpec`.  ``None`` (default)
-        is the exact legacy execution with legacy cost accounting.
-        Masked planes quantize per plane and kernel spectra per
-        component inside the batched convolution; scores match
-        ``method="loop"`` at the same precision bit for bit, streamed
-        and dense.  Quantizing precisions reject the ``elements``
-        granularity (its linearity fast path assumes exact arithmetic).
-    num_chips, placement, interconnect, hbm_bytes:
+    num_chips, interconnect:
         Pod scaling (wave fusion only): ``num_chips=K > 1`` replicates
-        ``device`` into a :class:`~repro.hw.pod.TpuPod` of K clones
-        (handing a ``TpuPod`` in as ``device`` works too), each with
-        its own sharded :class:`~repro.hw.pod.HostLink`, and shards
-        every wave across the chips along the ``placement`` axis --
-        ``"data"`` splits a wave's pairs, ``"chunk"`` its row space
-        (root solve overlapped), ``"wave"`` pins whole waves to chips
-        round-robin (see :mod:`repro.core.fleet`).  Remaining
-        collectives are priced on ``interconnect`` (default ring) and
-        scores stay bit-identical to single-chip execution.
-        ``hbm_bytes`` overrides each chip's modeled HBM capacity; wave
-        budgeting clamps to the capacity either way.  A pod requires
-        ``method="batched"`` + ``fusion="wave"``; the per-pair paths
-        have no sharded execution and raise.
+        ``device`` into a :class:`~repro.hw.pod.TpuPod` of K clones,
+        each with its own sharded :class:`~repro.hw.pod.HostLink`, whose
+        remaining collectives are priced on ``interconnect`` (default
+        ring); every wave shards across the chips along the config's
+        ``placement``.  A pod requires ``method="batched"`` +
+        ``fusion="wave"``; the per-pair paths have no sharded execution
+        and raise.
     """
 
     def __init__(
         self,
         device: Device,
-        granularity: str = "blocks",
-        block_shape: tuple[int, int] | None = None,
-        eps: float = 1e-6,
-        embedding: OutputEmbedding | None = None,
+        config: ExplainConfig | None = None,
+        *,
         method: str = "batched",
         fusion: str = "wave",
-        max_stack_bytes: int | None = DEFAULT_STACK_BUDGET_BYTES,
         pipelined: bool = True,
-        chunk_rows: int | None = None,
-        max_pairs_per_wave: int | None = None,
-        precision=None,
-        dense_budget: bool = False,
         num_chips: int | None = None,
-        placement: str = "data",
         interconnect=None,
-        hbm_bytes: int | None = None,
+        **fields,
     ) -> None:
-        if granularity not in GRANULARITIES:
-            raise ValueError(
-                f"unknown granularity {granularity!r}; expected one of {GRANULARITIES}"
-            )
-        if granularity == "blocks" and block_shape is None:
-            raise ValueError("blocks granularity requires a block_shape")
+        self.config = ExplainConfig.resolve(config, **fields)
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
         if fusion not in FUSIONS:
             raise ValueError(f"unknown fusion {fusion!r}; expected one of {FUSIONS}")
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-            )
-        self.precision = resolve_precision(precision)
-        check_precision_granularity(self.precision, granularity)
         # Pod resolution happens here (once) so self.device is the pod
         # and its ledger is the run's ledger; the fleet executor then
-        # recognizes the pod and shards along self.placement.
-        if num_chips is not None and int(num_chips) > 1 and not isinstance(device, TpuPod):
-            device = TpuPod.like(
-                device, int(num_chips), interconnect=interconnect,
-                hbm_bytes=hbm_bytes,
+        # recognizes the pod and shards along the config's placement.
+        self.device = resolve_pod(
+            device, num_chips, interconnect, hbm_bytes=self.config.hbm_bytes
+        )
+        if isinstance(self.device, TpuPod) and (method, fusion) != ("batched", "wave"):
+            raise ValueError(
+                "pod execution requires method='batched' and "
+                "fusion='wave'; the per-pair paths have no sharded "
+                f"execution (got method={method!r}, fusion={fusion!r})"
             )
-        if isinstance(device, TpuPod):
-            if num_chips is not None and int(num_chips) != device.num_chips:
-                raise ValueError(
-                    f"num_chips={num_chips} disagrees with the supplied "
-                    f"{device.num_chips}-chip pod"
-                )
-            if method != "batched" or fusion != "wave":
-                raise ValueError(
-                    "pod execution requires method='batched' and "
-                    "fusion='wave'; the per-pair paths have no sharded "
-                    f"execution (got method={method!r}, fusion={fusion!r})"
-                )
-        self.placement = placement
-        self.device = device
-        self.granularity = granularity
-        self.block_shape = block_shape
-        self.eps = eps
-        self.embedding = embedding or OutputEmbedding("identity")
         self.method = method
         self.fusion = fusion
-        self.max_stack_bytes = max_stack_bytes
         self.pipelined = pipelined
-        self.chunk_rows = chunk_rows
-        self.max_pairs_per_wave = max_pairs_per_wave
-        self.dense_budget = dense_budget
-        self.hbm_bytes = None if hbm_bytes is None else int(hbm_bytes)
 
     def explain_pair(self, x: np.ndarray, y: np.ndarray) -> PairExplanation:
         """Distill and interpret one pair (no program scoping)."""
+        config = self.config
         distiller = ConvolutionDistiller(
-            device=self.device, eps=self.eps, embedding=self.embedding,
-            precision=self.precision,
+            device=self.device, eps=config.eps, embedding=config.embedding,
+            precision=config.precision,
         )
         distiller.fit(x, y)
         kernel = distiller.kernel_
@@ -287,17 +196,19 @@ class ExplanationPipeline:
         return PairExplanation(kernel=kernel, scores=scores, residual=residual)
 
     def _score(self, x: np.ndarray, kernel: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.granularity == "elements":
+        config = self.config
+        if config.granularity == "elements":
             return feature_contributions(
-                x, kernel, y, device=self.device,
+                x, kernel, y, reduction=config.reduction, device=self.device,
                 method="naive" if self.method == "loop" else "fast",
             )
         plan = MaskPlan.for_granularity(
-            self.granularity, x.shape, block_shape=self.block_shape
+            config.granularity, x.shape, block_shape=config.block_shape
         )
         return score_plan(
-            x, kernel, y, plan, method=self.method, device=self.device,
-            max_stack_bytes=self.max_stack_bytes, precision=self.precision,
+            x, kernel, y, plan, reduction=config.reduction, method=self.method,
+            device=self.device, fill_value=config.fill_value,
+            max_stack_bytes=config.max_stack_bytes, precision=config.precision,
         )
 
     def run(self, pairs) -> InterpretationRun:
@@ -327,7 +238,7 @@ class ExplanationPipeline:
         explanations: list[PairExplanation] = []
         for x, y in pairs:
             x = np.asarray(x)
-            infeed = feed_bytes([x, np.asarray(y)], self.precision)
+            infeed = feed_bytes([x, np.asarray(y)], self.config.precision)
             with self.device.program(infeed_bytes=infeed, outfeed_bytes=x.nbytes):
                 explanations.append(self.explain_pair(x, y))
         stats = self.device.take_stats()
@@ -340,16 +251,14 @@ class ExplanationPipeline:
         )
 
     def service(self, **service_kwargs):
-        """An online :class:`~repro.serve.loop.ExplanationService` sharing
-        this pipeline's configuration.
+        """An online :class:`~repro.serve.loop.ExplanationService`
+        sharing this pipeline's device and :class:`ExplainConfig`.
 
-        The serving-layer constructor: the returned service runs on the
-        same device with the pipeline's granularity, block shape,
-        precision, solve parameters and wave/streaming knobs as its
-        request defaults, so an offline pipeline and its online
-        counterpart produce bit-identical explanations for the same
-        inputs.  ``service_kwargs`` override any of those and add the
-        serving-only knobs: the static micro-batching pair
+        The serving-layer constructor: the pipeline's config becomes the
+        service's request defaults, so an offline pipeline and its
+        online counterpart produce bit-identical explanations for the
+        same inputs.  ``service_kwargs`` override any config field and
+        add the serving-only knobs: the static micro-batching pair
         (``max_wait_seconds``, ``max_batch_pairs``), the autopilot that
         replaces it (``controller=BatchController(...)``), dispatch
         fairness (``dispatch_policy``, ``key_weights``), caching
@@ -360,38 +269,12 @@ class ExplanationPipeline:
         """
         from repro.serve.loop import ExplanationService
 
-        config = dict(
-            granularity=self.granularity,
-            block_shape=self.block_shape,
-            precision=self.precision,
-            eps=self.eps,
-            embedding=self.embedding,
-            max_stack_bytes=self.max_stack_bytes,
-            chunk_rows=self.chunk_rows,
-            max_pairs_per_wave=self.max_pairs_per_wave,
-            dense_budget=self.dense_budget,
-            placement=self.placement,
-            hbm_bytes=self.hbm_bytes,
-        )
-        config.update(service_kwargs)
-        return ExplanationService(self.device, **config)
+        return ExplanationService(self.device, self.config, **service_kwargs)
 
     def _run_wave(self, pairs) -> InterpretationRun:
-        executor = FleetExecutor(
-            self.device,
-            granularity=self.granularity,
-            block_shape=self.block_shape,
-            eps=self.eps,
-            embedding=self.embedding,
-            max_stack_bytes=self.max_stack_bytes,
-            max_pairs_per_wave=self.max_pairs_per_wave,
-            chunk_rows=self.chunk_rows,
-            precision=self.precision,
-            dense_budget=self.dense_budget,
-            placement=self.placement,
-            hbm_bytes=self.hbm_bytes,
+        fleet = FleetExecutor(self.device, self.config).run(
+            pairs, pipelined=self.pipelined
         )
-        fleet = executor.run(pairs, pipelined=self.pipelined)
         stats = self.device.take_stats()
         explanations = [
             PairExplanation(

@@ -47,7 +47,7 @@ from repro.hw.memory import (
     unified_buffer_spec,
 )
 from repro.hw.mxu import Mxu, MxuConfig, MxuStats, matmul_cycles
-from repro.hw.pod import PodWaveStats, TpuPod, clone_device
+from repro.hw.pod import PodWaveStats, TpuPod, clone_device, resolve_pod
 from repro.hw.perf import (
     AmdahlBreakdown,
     format_stats,
@@ -97,6 +97,7 @@ __all__ = [
     "PodWaveStats",
     "TpuPod",
     "clone_device",
+    "resolve_pod",
     "GpuConfig",
     "GpuDevice",
     "Op",

@@ -718,3 +718,31 @@ class TpuPod(Device):
 
     def _matmul_compute(self, a, b):
         return self.root._matmul_compute(a, b)
+
+
+def resolve_pod(
+    device: Device,
+    num_chips: int | None = None,
+    interconnect: Interconnect | InterconnectConfig | None = None,
+    hbm_bytes: int | None = None,
+) -> Device:
+    """The device an explanation entry point executes on.
+
+    An explicit :class:`TpuPod` is used as given (``num_chips``, when
+    set, must match its size).  Otherwise ``num_chips > 1`` replicates
+    ``device`` into a fresh pod of that many clones (see
+    :meth:`TpuPod.like`), and ``num_chips`` of 1 or ``None`` keeps the
+    plain single device, which retains chip-level infeed pipelining.
+    """
+    if isinstance(device, TpuPod):
+        if num_chips is not None and int(num_chips) != device.num_chips:
+            raise ValueError(
+                f"num_chips={num_chips} disagrees with the supplied "
+                f"{device.num_chips}-chip pod"
+            )
+        return device
+    if num_chips is not None and int(num_chips) > 1:
+        return TpuPod.like(
+            device, int(num_chips), interconnect=interconnect, hbm_bytes=hbm_bytes
+        )
+    return device

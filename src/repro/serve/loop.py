@@ -40,23 +40,13 @@ any wave, or answered from cache -- batching and caching change only
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
 
-from repro.core.fleet import (
-    GRANULARITIES,
-    PLACEMENTS,
-    FleetExecutor,
-    check_precision_granularity,
-    feed_bytes,
-)
-from repro.core.masking import (
-    DEFAULT_STACK_BUDGET_BYTES,
-    REDUCTIONS,
-    MaskSpec,
-)
-from repro.core.transform import OutputEmbedding
+from repro.core.config import ExplainConfig
+from repro.core.fleet import FleetExecutor, feed_bytes
+from repro.core.masking import MaskSpec
 from repro.hw.device import Device
-from repro.hw.pod import TpuPod
+from repro.hw.pod import resolve_pod
 from repro.hw.quantize import resolve_precision
 from repro.obs.registry import register_metrics_source
 from repro.obs.tracer import tracer
@@ -88,16 +78,15 @@ class ExplanationService:
     device:
         The backend every dispatch runs on.  The service owns the
         device ledger for the duration of :meth:`process`.
-    granularity, block_shape, precision:
-        Defaults applied to requests that leave theirs unset; a request
-        naming its own values is routed to its own batch key.
-    eps, embedding, reduction, fill_value:
-        The per-pair solve and Eq. 5 scoring configuration, shared by
-        every dispatch (part of the cache digest).
-    max_stack_bytes, chunk_rows, max_pairs_per_wave, dense_budget:
-        Forwarded to each key's :class:`~repro.core.fleet.FleetExecutor`
-        (chunk-adaptive wave planning by default, so a big batch fuses
-        into few waves).
+    config, **fields:
+        The explanation knobs, documented once on
+        :class:`~repro.core.config.ExplainConfig`; keyword ``fields``
+        override ``config`` (``None`` starts from the field defaults).  Its
+        ``granularity``, ``block_shape`` and ``precision`` are the
+        defaults for requests that leave theirs unset -- a request
+        naming its own values is routed to its own batch key -- and the
+        rest is shared by every dispatch (solve and scoring fields are
+        part of the cache digest).
     max_wait_seconds, max_batch_pairs:
         The micro-batching policy: a batch dispatches when it holds
         ``max_batch_pairs`` requests or its oldest has waited
@@ -141,43 +130,28 @@ class ExplanationService:
         how many recent digests the warmer remembers planes for.
         Warming converts drain time into hit rate and never changes
         what any explanation is.
-    num_chips, placement, interconnect, hbm_bytes:
+    num_chips, interconnect:
         Pod scaling: ``num_chips=K > 1`` replicates ``device`` into a
         :class:`~repro.hw.pod.TpuPod` of K clones (handing a pod in as
-        ``device`` works too), each with its own sharded
-        :class:`~repro.hw.pod.HostLink`; every dispatch then shards its
-        waves across the chips along ``placement`` (``"data"`` over
-        pairs, ``"chunk"`` over the row space with the root solve
-        overlapped, ``"wave"`` whole waves round-robin) with remaining
-        collectives priced on ``interconnect``, and ``hbm_bytes``
-        overrides each chip's modeled HBM capacity (wave budgeting
-        clamps to it).  Served explanations stay bit-identical to
-        single-chip dispatches -- the pod moves only the clock.
+        ``device`` works too) whose collectives are priced on
+        ``interconnect``; every dispatch then shards its waves across
+        the chips along the config's ``placement``.  Served
+        explanations stay bit-identical to single-chip dispatches --
+        the pod moves only the clock.
     """
 
     def __init__(
         self,
         device: Device,
-        granularity: str = "blocks",
-        block_shape: tuple[int, int] | None = None,
-        precision=None,
-        eps: float = 1e-6,
-        embedding: OutputEmbedding | None = None,
-        reduction: str = "l2",
-        fill_value: float = 0.0,
-        max_stack_bytes: int | None = DEFAULT_STACK_BUDGET_BYTES,
-        chunk_rows: int | None = None,
-        max_pairs_per_wave: int | None = None,
-        dense_budget: bool = False,
+        config: ExplainConfig | None = None,
+        *,
         max_wait_seconds: float = 0.05,
         max_batch_pairs: int = 32,
         cache: ExplanationCache | None = None,
         cache_max_bytes: int | None = DEFAULT_CACHE_BYTES,
         admission: AdmissionController | None = None,
         num_chips: int | None = None,
-        placement: str = "data",
         interconnect=None,
-        hbm_bytes: int | None = None,
         controller: BatchController | None = None,
         dispatch_policy: str = "fair",
         key_weights: dict | None = None,
@@ -186,52 +160,15 @@ class ExplanationService:
         warm_max_per_gap: int = 4,
         warm_tracked: int = 64,
         metrics_name: str | None = "serve",
+        **fields,
     ) -> None:
-        if granularity not in GRANULARITIES:
-            raise ValueError(
-                f"unknown granularity {granularity!r}; expected one of {GRANULARITIES}"
-            )
-        if granularity == "blocks" and block_shape is None:
-            raise ValueError("blocks granularity requires a block_shape")
-        if reduction not in REDUCTIONS:
-            raise ValueError(
-                f"unknown reduction {reduction!r}; expected one of {REDUCTIONS}"
-            )
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-            )
-        self.precision = resolve_precision(precision)
-        check_precision_granularity(self.precision, granularity)
+        self.config = ExplainConfig.resolve(config, **fields)
         # Pod resolution once, up front: self.device is the pod, its
         # ledger is the service clock's time source, and every batch
         # key's executor shards through it.
-        if num_chips is not None and int(num_chips) > 1 and not isinstance(device, TpuPod):
-            device = TpuPod.like(
-                device, int(num_chips), interconnect=interconnect,
-                hbm_bytes=hbm_bytes,
-            )
-        if (
-            isinstance(device, TpuPod)
-            and num_chips is not None
-            and int(num_chips) != device.num_chips
-        ):
-            raise ValueError(
-                f"num_chips={num_chips} disagrees with the supplied "
-                f"{device.num_chips}-chip pod"
-            )
-        self.placement = placement
-        self.device = device
-        self.granularity = granularity
-        self.block_shape = block_shape
-        self.eps = eps
-        self.embedding = embedding or OutputEmbedding("identity")
-        self.reduction = reduction
-        self.fill_value = fill_value
-        self.max_stack_bytes = max_stack_bytes
-        self.chunk_rows = chunk_rows
-        self.max_pairs_per_wave = max_pairs_per_wave
-        self.dense_budget = dense_budget
+        self.device = resolve_pod(
+            device, num_chips, interconnect, hbm_bytes=self.config.hbm_bytes
+        )
         self.max_wait_seconds = max_wait_seconds
         self.max_batch_pairs = max_batch_pairs
         if cache is not None:
@@ -273,7 +210,6 @@ class ExplanationService:
         # learned from actual warm dispatches so a gap never overruns
         # into the next arrival after the first warm of a session.
         self._warm_cost_estimate = 0.0
-        self.hbm_bytes = None if hbm_bytes is None else int(hbm_bytes)
         # One executor per batch key and one lazy mask plan per
         # (granularity, block_shape, plane shape): built on first use,
         # reused for every later request and every later process() call.
@@ -369,34 +305,29 @@ class ExplanationService:
         return key
 
     def _resolve_batch_key(self, request: Request) -> BatchKey:
-        granularity = request.granularity or self.granularity
-        if granularity not in GRANULARITIES:
-            raise ValueError(
-                f"request {request.request_id}: unknown granularity "
-                f"{granularity!r}; expected one of {GRANULARITIES}"
+        config = self.config
+        try:
+            resolved = replace(
+                config,
+                granularity=request.granularity or config.granularity,
+                block_shape=(
+                    config.block_shape
+                    if request.block_shape is None
+                    else request.block_shape
+                ),
+                precision=(
+                    config.precision if request.precision is None else request.precision
+                ),
             )
-        if granularity == "blocks":
-            block_shape = (
-                request.block_shape
-                if request.block_shape is not None
-                else self.block_shape
-            )
-            if block_shape is None:
-                raise ValueError(
-                    f"request {request.request_id}: blocks granularity "
-                    "requires a block_shape"
-                )
-            block_shape = tuple(int(v) for v in block_shape)
-        else:
-            block_shape = None  # irrelevant to (and rejected by) the plan
-        spec = resolve_precision(
-            request.precision if request.precision is not None else self.precision
-        )
-        check_precision_granularity(spec, granularity)
+        except ValueError as error:
+            raise ValueError(f"request {request.request_id}: {error}") from None
         return BatchKey(
-            granularity=granularity,
-            block_shape=block_shape,
-            precision=None if spec is None else spec.name,
+            granularity=resolved.granularity,
+            # Irrelevant to (and rejected by) every non-blocks plan.
+            block_shape=(
+                resolved.block_shape if resolved.granularity == "blocks" else None
+            ),
+            precision=None if resolved.precision is None else resolved.precision.name,
         )
 
     def _executor(self, key: BatchKey) -> FleetExecutor:
@@ -404,19 +335,10 @@ class ExplanationService:
         if executor is None:
             executor = FleetExecutor(
                 self.device,
+                self.config,
                 granularity=key.granularity,
                 block_shape=key.block_shape,
-                eps=self.eps,
-                embedding=self.embedding,
-                reduction=self.reduction,
-                fill_value=self.fill_value,
-                max_stack_bytes=self.max_stack_bytes,
-                max_pairs_per_wave=self.max_pairs_per_wave,
-                chunk_rows=self.chunk_rows,
                 precision=key.precision,
-                dense_budget=self.dense_budget,
-                placement=self.placement,
-                hbm_bytes=self.hbm_bytes,
             )
             self._executors[key] = executor
         return executor
@@ -451,10 +373,10 @@ class ExplanationService:
                 granularity=key.granularity,
                 block_shape=key.block_shape,
                 precision_name=key.precision,
-                eps=self.eps,
-                reduction=self.reduction,
-                fill_value=self.fill_value,
-                embedding_strategy=self.embedding.strategy,
+                eps=self.config.eps,
+                reduction=self.config.reduction,
+                fill_value=self.config.fill_value,
+                embedding_strategy=self.config.embedding.strategy,
             ),
         )
 

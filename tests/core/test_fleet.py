@@ -50,15 +50,6 @@ class TestFleetSchedule:
         assert schedule.waves[0].plane_shape == (8, 8)
         assert schedule.waves[1].pair_indices == (1, 3)
 
-    def test_budget_splits_waves(self):
-        # Each pair: (2 masks + 1 residual) * 4*4 * 8 = 384 bytes.
-        schedule = FleetSchedule.plan(
-            [(4, 4)] * 4, [2] * 4, max_stack_bytes=800
-        )
-        assert schedule.num_waves == 2
-        assert [w.pair_indices for w in schedule.waves] == [(0, 1), (2, 3)]
-        assert all(w.stack_nbytes <= 800 for w in schedule.waves)
-
     def test_max_pairs_per_wave(self):
         schedule = FleetSchedule.plan(
             [(4, 4)] * 5, [1] * 5, max_pairs_per_wave=2
@@ -66,8 +57,10 @@ class TestFleetSchedule:
         assert [w.pair_indices for w in schedule.waves] == [(0, 1), (2, 3), (4,)]
 
     def test_single_pair_over_budget_raises(self):
+        # One 4x4 float64 plane is 128 bytes: a budget below it cannot
+        # stream even a single row of the pair.
         with pytest.raises(MaskStackBudgetError, match="loop"):
-            FleetSchedule.plan([(4, 4)], [100], max_stack_bytes=1000)
+            FleetSchedule.plan([(4, 4)], [100], max_stack_bytes=100)
 
     def test_none_budget_never_splits(self):
         schedule = FleetSchedule.plan([(4, 4)] * 10, [1000] * 10, max_stack_bytes=None)
@@ -79,7 +72,7 @@ class TestFleetSchedule:
         with pytest.raises(ValueError):
             FleetSchedule.plan([(4, 4)], [1], max_pairs_per_wave=0)
         with pytest.raises(ValueError):
-            FleetSchedule.plan([(4, 4)], [1], streaming=True, itemsize=0)
+            FleetSchedule.plan([(4, 4)], [1], itemsize=0)
 
     def test_empty_fleet_plans_empty_schedule(self):
         """The service's idle drain path: nothing to plan is not an error."""
@@ -87,24 +80,18 @@ class TestFleetSchedule:
         assert schedule.num_waves == 0
         assert schedule.num_pairs == 0
 
-    def test_streaming_chunk_budget_fuses_what_dense_budget_splits(self):
-        """Chunk-adaptive planning (the ROADMAP follow-on): under
-        streaming the budget bounds the chunk, which does not grow with
-        the fused pairs, so a budget that dense semantics split into
-        many waves fuses into one."""
+    def test_chunk_budget_fuses_pairs_past_the_stack_size(self):
+        """Chunk-adaptive planning: the budget bounds the streamed
+        chunk, which does not grow with the fused pairs, so eight pairs
+        whose conceptual stack is almost four times the budget fuse into
+        one wave."""
         shapes = [(4, 4)] * 8
         counts = [2] * 8
-        budget = 800  # two (2+1)-row pairs of 4x4 float64 per dense wave
-        dense = FleetSchedule.plan(
-            shapes, counts, max_stack_bytes=budget, streaming=True,
-            dense_budget=True,
-        )
-        adaptive = FleetSchedule.plan(
-            shapes, counts, max_stack_bytes=budget, streaming=True
-        )
-        assert dense.num_waves == 4
-        assert adaptive.num_waves == 1
-        assert adaptive.waves[0].pair_indices == tuple(range(8))
+        budget = 800  # holds two (2+1)-row pairs of 4x4 float64
+        schedule = FleetSchedule.plan(shapes, counts, max_stack_bytes=budget)
+        assert schedule.num_waves == 1
+        assert schedule.waves[0].pair_indices == tuple(range(8))
+        assert schedule.waves[0].stack_nbytes > 3 * budget
 
     def test_streamed_chunk_nbytes_formula_and_clamp(self):
         from repro.core import streamed_chunk_nbytes
@@ -229,7 +216,7 @@ class TestFleetExecutorEquivalence:
         executor = FleetExecutor(
             CpuDevice(), granularity="columns",
             max_stack_bytes=2 * per_pair_bytes,
-            dense_budget=True,  # historical dense-stack wave budgeting
+            max_pairs_per_wave=2,  # the budget bounds chunks, not waves
         )
         fleet = executor.run(pairs)
         assert fleet.num_waves == 2

@@ -412,7 +412,7 @@ class TestServicePod:
         service = pipeline.service(cache_max_bytes=None)
         assert isinstance(service.device, TpuPod)
         assert service.device is pipeline.device
-        assert service.placement == "chunk"
+        assert service.config.placement == "chunk"
 
 
 class TestWindowedChunks:

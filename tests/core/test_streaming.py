@@ -397,69 +397,56 @@ class TestPipelinedExecution:
 
 
 class TestStreamingFleet:
-    def test_over_budget_pair_gets_its_own_wave_and_streams(self):
+    def test_over_budget_pairs_fuse_into_one_streamed_wave(self):
         """PR-2 raised MaskStackBudgetError here; streaming runs it.
-        Under the historical dense budgeting every pair takes a wave of
-        its own; the chunk-adaptive default fuses all three into one
-        wave -- both bit-identical to per-pair execution."""
+        Each pair's dense stack alone exceeds the budget, yet the
+        chunk-adaptive planner fuses all three into one wave (the budget
+        bounds the chunk only) -- bit-identical to per-pair execution."""
         pairs = planted_pairs(3)
         plan_bytes = MaskPlan.columns((8, 8)).nbytes + 8 * 8 * 8  # + residual
-        dense = FleetExecutor(
-            CpuDevice(), granularity="columns",
-            max_stack_bytes=plan_bytes - 1, dense_budget=True,
-        ).run(pairs)
-        assert dense.num_waves == 3  # every pair alone exceeds the budget
         adaptive = FleetExecutor(
             CpuDevice(), granularity="columns", max_stack_bytes=plan_bytes - 1
         ).run(pairs)
-        assert adaptive.num_waves == 1  # the budget bounds the chunk only
+        assert adaptive.num_waves == 1
         reference = ExplanationPipeline(
             CpuDevice(), granularity="columns", eps=1e-6, fusion="pair",
             max_stack_bytes=None,
         ).run(pairs)
-        for fleet in (dense, adaptive):
-            for a, b in zip(reference.explanations, fleet.results):
-                np.testing.assert_array_equal(a.scores, b.scores)
-                assert a.residual == b.residual
-
-    def test_chunk_adaptive_planning_shrinks_dispatch_count_at_100_pairs(self):
-        """The chunk-adaptive acceptance contract: at 100 pairs under a
-        budget that dense semantics fragment into many waves, the
-        adaptive default executes strictly fewer dispatches (fewer
-        program scopes) with bit-identical scores."""
-        pairs = planted_pairs(100)
-        plan_bytes = (MaskPlan.columns((8, 8)).num_masks + 1) * 8 * 8 * 8
-        runs = {}
-        for dense_budget in (True, False):
-            backend = small_backend()
-            run = ExplanationPipeline(
-                backend, granularity="columns", eps=1e-8,
-                max_stack_bytes=4 * plan_bytes, dense_budget=dense_budget,
-            ).run(pairs)
-            runs[dense_budget] = run
-        assert runs[True].stats.op_counts["dispatch"] == 25  # 4-pair waves
-        assert runs[False].stats.op_counts["dispatch"] == 1  # one fused wave
-        assert (
-            runs[False].stats.op_counts["dispatch"]
-            < runs[True].stats.op_counts["dispatch"]
-        )
-        assert runs[False].simulated_seconds < runs[True].simulated_seconds
-        for a, b in zip(runs[True].explanations, runs[False].explanations):
+        for a, b in zip(reference.explanations, adaptive.results):
             np.testing.assert_array_equal(a.scores, b.scores)
             assert a.residual == b.residual
 
-    def test_dense_schedule_semantics_still_raise(self):
-        with pytest.raises(MaskStackBudgetError, match="loop"):
-            FleetSchedule.plan([(4, 4)], [100], max_stack_bytes=1000)
-        # Streaming semantics: same fleet plans fine, one wave.
-        schedule = FleetSchedule.plan(
-            [(4, 4)], [100], max_stack_bytes=1000, streaming=True
-        )
+    def test_chunk_adaptive_planning_shrinks_dispatch_count_at_100_pairs(self):
+        """The chunk-adaptive acceptance contract: at 100 pairs under a
+        budget that holds only four pairs' dense stacks, the planner
+        fuses the whole fleet into one dispatch (one program scope),
+        faster than the same fleet capped at four pairs per wave and
+        with bit-identical scores."""
+        pairs = planted_pairs(100)
+        plan_bytes = (MaskPlan.columns((8, 8)).num_masks + 1) * 8 * 8 * 8
+        runs = {}
+        for cap in (4, None):
+            runs[cap] = ExplanationPipeline(
+                small_backend(), granularity="columns", eps=1e-8,
+                max_stack_bytes=4 * plan_bytes, max_pairs_per_wave=cap,
+            ).run(pairs)
+        assert runs[4].stats.op_counts["dispatch"] == 25  # 4-pair waves
+        assert runs[None].stats.op_counts["dispatch"] == 1  # one fused wave
+        assert runs[None].simulated_seconds < runs[4].simulated_seconds
+        for a, b in zip(runs[4].explanations, runs[None].explanations):
+            np.testing.assert_array_equal(a.scores, b.scores)
+            assert a.residual == b.residual
+
+    def test_over_budget_pair_plans_one_streamed_wave(self):
+        # 101 rows of 4x4 float64 is 12928 bytes, far over the budget,
+        # but only one 128-byte plane has to fit it.
+        schedule = FleetSchedule.plan([(4, 4)], [100], max_stack_bytes=1000)
         assert schedule.num_waves == 1
+        assert schedule.waves[0].num_rows == 101
 
     def test_streaming_plane_too_large_still_raises(self):
         with pytest.raises(MaskStackBudgetError, match="single plane"):
-            FleetSchedule.plan([(8, 8)], [4], max_stack_bytes=100, streaming=True)
+            FleetSchedule.plan([(8, 8)], [4], max_stack_bytes=100)
 
     def test_tiny_chunks_bit_identical_at_fleet_scale(self):
         pairs = planted_pairs(5)

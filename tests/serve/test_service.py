@@ -88,9 +88,10 @@ class TestBitIdentity:
         )
         service = pipeline.service(max_wait_seconds=0.01)
         assert service.device is pipeline.device
-        assert service.granularity == "blocks"
-        assert service.block_shape == BLOCK
-        assert service.precision is pipeline.precision
+        assert service.config == pipeline.config
+        assert service.config.granularity == "blocks"
+        assert service.config.block_shape == BLOCK
+        assert service.config.precision is pipeline.config.precision
         requests = trace(count=10, seed=2)
         served = service.process(requests).results_by_id()
         offline = pipeline.run([(r.x, r.y) for r in requests])
