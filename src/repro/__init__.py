@@ -17,8 +17,9 @@ Quick start::
 Package map (see DESIGN.md for the full inventory):
 
 ==================  ====================================================
-``repro.fft``       from-scratch Fourier substrate (radix-2, Bluestein,
-                    matmul-form 2-D transforms, convolution theorem)
+``repro.fft``       from-scratch Fourier substrate (radix-2, DFT
+                    matmul, Bluestein; matmul-form 2-D transforms,
+                    convolution theorem)
 ``repro.hw``        simulated hardware: cycle-level systolic TPU,
                     CPU/GPU comparator models, memories, interconnect
 ``repro.core``      the paper's contribution: Fourier-domain model

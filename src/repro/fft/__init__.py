@@ -8,8 +8,9 @@ whole Fourier stack from scratch:
 
 * :mod:`repro.fft.dft_matrix` -- DFT matrices ``W_N`` and their algebra;
 * :mod:`repro.fft.fft`        -- 1-D FFT (iterative radix-2 Cooley-Tukey
-  for power-of-two lengths, Bluestein chirp-z for everything else) plus
-  the real-input ``rfft``/``irfft`` pair exploiting Hermitian symmetry;
+  for power-of-two lengths, the DFT matmul -- one BLAS GEMM per plane --
+  for other lengths up to 1024, Bluestein chirp-z beyond) plus the
+  real-input ``rfft``/``irfft`` pair exploiting Hermitian symmetry;
 * :mod:`repro.fft.fft2d`      -- 2-D transforms in both row-column FFT
   form and the matmul form that maps onto a systolic array, with real
   half-spectrum variants for real planes;

@@ -1,24 +1,36 @@
 """1-D fast Fourier transforms implemented from scratch.
 
-Two algorithms cover all input lengths:
+Three engines cover all input lengths, chosen from the length alone:
 
 * power-of-two lengths use an **iterative radix-2 Cooley-Tukey** kernel
   (decimation in time with an explicit bit-reversal permutation), fully
   vectorized over leading batch axes;
-* every other length uses **Bluestein's chirp-z algorithm**, which
-  re-expresses an arbitrary-length DFT as a circular convolution of
-  power-of-two length and therefore reuses the radix-2 kernel.
+* other lengths up to 1024 (``_MATMUL_MAX_LENGTH``) multiply by a cached
+  **DFT matrix** -- the paper's own formulation (Eq. 10-13), the form a
+  TPU MXU evaluates -- with one BLAS matmul per trailing plane;
+* longer non-power-of-two lengths use **Bluestein's chirp-z
+  algorithm**, which re-expresses the DFT as a circular convolution of
+  power-of-two length and reuses the radix-2 kernel; its memory stays
+  O(n) where a dense table would grow as n^2.
 
 Real input additionally gets :func:`rfft` / :func:`irfft`: the DFT of a
 real signal is Hermitian (``X[n-k] == conj(X[k])``), so only the
-``n//2 + 1`` leading bins are stored and -- for power-of-two lengths --
-computed, by packing even/odd samples into one complex signal of half
-the length and untangling the two interleaved spectra afterwards.  The
-half-spectrum path is the host hot path of every real occlusion plane.
+``n//2 + 1`` leading bins are stored and computed.  Power-of-two
+lengths pack even/odd samples into one complex signal of half the
+length and untangle the two interleaved spectra afterwards; matmul
+lengths multiply real samples by interleaved cos/sin tables, so the
+real product *is* the complex half spectrum.  The half-spectrum path is
+the host hot path of every real occlusion plane.
 
-The inverse transform uses the conjugation identity
+A plane's bits never depend on the batch around it: radix-2 and
+Bluestein are elementwise over the batch, and the matmul engine issues
+one GEMM per trailing ``(rows, n)`` plane (a single tall GEMM would
+not do: BLAS edge tiles round differently).  Loop, dense, streamed and
+pod execution rely on this.
+
+The radix-2 and Bluestein inverses use the conjugation identity
 ``ifft(x) = conj(fft(conj(x))) / n`` so a single forward kernel serves
-both directions.
+both directions; the matmul inverse multiplies by the synthesis matrix.
 
 Normalization follows :mod:`repro.fft.dft_matrix`: the default
 ``norm="backward"`` matches ``numpy.fft`` and keeps the convolution
@@ -31,7 +43,16 @@ import threading
 
 import numpy as np
 
+from repro.fft.dft_matrix import dft_matrix, idft_matrix
+
 _VALID_NORMS = ("backward", "ortho", "forward")
+
+# Longest non-power-of-two length served by the dense DFT matmul.  One
+# complex128 table of this size is 16 MiB, and tables grow as n^2 where
+# Bluestein's memory grows as n.  Speed agrees with the cap: on a 2-core
+# host with OpenBLAS a single row breaks even near n = 1000-1500, though
+# batches of rows still favour the matmul at n = 2000.
+_MATMUL_MAX_LENGTH = 1024
 
 # Transform plans, keyed by length.  Computing twiddles is O(n) per
 # stage, and sweeps re-run the same lengths, so a tiny plan cache is a
@@ -41,7 +62,8 @@ _VALID_NORMS = ("backward", "ortho", "forward")
 _TWIDDLE_CACHE: dict[int, list[np.ndarray]] = {}
 _BITREV_CACHE: dict[int, np.ndarray] = {}
 _RFFT_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-_BLUESTEIN_CACHE: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+_BLUESTEIN_CACHE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+_MATMUL_CACHE: dict[tuple[str, int], np.ndarray] = {}
 _PLAN_LOCK = threading.Lock()
 
 # Lifetime hit/miss counters per plan cache (the metrics-registry
@@ -57,6 +79,8 @@ _PLAN_COUNTERS: dict[str, int] = {
     "rfft_plan_misses": 0,
     "bluestein_plan_hits": 0,
     "bluestein_plan_misses": 0,
+    "matmul_plan_hits": 0,
+    "matmul_plan_misses": 0,
     "radix2_workspace_hits": 0,
     "radix2_workspace_misses": 0,
 }
@@ -243,15 +267,14 @@ def _fft_radix2(x: np.ndarray, reuse: bool = False) -> np.ndarray:
     return src
 
 
-def _bluestein_plan(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+def _bluestein_plan(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Cached chirp tables for the length-``n`` chirp-z transform.
 
-    Returns ``(padded_len, chirp, b_spectrum, half_chirp)``: the
-    power-of-two convolution length, the chirp ``exp(-j*pi*k^2/n)``,
-    the precomputed forward transform of the wrapped conjugate chirp
-    (the convolution's fixed factor -- caching it drops one of the
-    three radix-2 transforms from every Bluestein call), and the chirp
-    sliced to the ``n//2 + 1`` half-spectrum bins for the real path.
+    Returns ``(padded_len, chirp, b_spectrum)``: the power-of-two
+    convolution length, the chirp ``exp(-j*pi*k^2/n)``, and the
+    precomputed forward transform of the wrapped conjugate chirp (the
+    convolution's fixed factor -- caching it drops one of the three
+    radix-2 transforms from every Bluestein call).
     """
     with _PLAN_LOCK:
         cached = _BLUESTEIN_CACHE.get(n)
@@ -274,16 +297,15 @@ def _bluestein_plan(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         b[:n] = np.conj(chirp)
         b[padded_len - (n - 1):] = np.conj(chirp[1:][::-1])
         b_spectrum = _fft_radix2(b)
-        half_chirp = chirp[: n // 2 + 1].copy()
-        for table in (chirp, b_spectrum, half_chirp):
+        for table in (chirp, b_spectrum):
             table.setflags(write=False)
-        cached = (padded_len, chirp, b_spectrum, half_chirp)
+        cached = (padded_len, chirp, b_spectrum)
         with _PLAN_LOCK:
             _BLUESTEIN_CACHE[n] = cached
     return cached
 
 
-def _fft_bluestein(x: np.ndarray, half: bool = False) -> np.ndarray:
+def _fft_bluestein(x: np.ndarray) -> np.ndarray:
     """Forward unnormalized DFT of arbitrary length via the chirp-z trick.
 
     Writing ``mk = (m^2 + k^2 - (k-m)^2) / 2`` turns the DFT sum into a
@@ -291,12 +313,10 @@ def _fft_bluestein(x: np.ndarray, half: bool = False) -> np.ndarray:
     which we evaluate at a padded power-of-two length with the radix-2
     kernel.  The chirp and the convolution's fixed spectrum come from
     the per-length plan cache, so a repeated length pays two radix-2
-    transforms, not three.  ``half=True`` returns only the ``n//2 + 1``
-    non-redundant bins (for real input the rest is Hermitian-redundant),
-    skipping the final chirp multiply on the mirrored half.
+    transforms, not three.
     """
     n = x.shape[-1]
-    padded_len, chirp, b_spectrum, half_chirp = _bluestein_plan(n)
+    padded_len, chirp, b_spectrum = _bluestein_plan(n)
 
     a = np.zeros(x.shape[:-1] + (padded_len,), dtype=np.complex128)
     a[..., :n] = x * chirp
@@ -307,9 +327,75 @@ def _fft_bluestein(x: np.ndarray, half: bool = False) -> np.ndarray:
     spectrum = _fft_radix2(a, reuse=True) * b_spectrum
     # Inverse FFT of the product via conjugation (still power-of-two).
     convolved = np.conj(_fft_radix2(np.conj(spectrum), reuse=True)) / padded_len
-    if half:
-        return convolved[..., : n // 2 + 1] * half_chirp
     return convolved[..., :n] * chirp
+
+
+def _uses_matmul(n: int) -> bool:
+    """Whether length ``n`` takes the dense DFT-matmul engine."""
+    return n <= _MATMUL_MAX_LENGTH and not is_power_of_two(n)
+
+
+def _matmul_plan(kind: str, n: int) -> np.ndarray:
+    """Cached read-only DFT table of ``kind`` for the length-``n`` matmul engine.
+
+    * ``"forward"`` -- ``W_n = exp(-2j*pi*m*k/n)`` (:func:`dft_matrix`);
+    * ``"inverse"`` -- ``conj(W_n) / n`` (:func:`idft_matrix`);
+    * ``"rfft"`` -- ``(n, 2*bins)`` real: the first ``bins = n//2 + 1``
+      columns of ``W_n`` with real (cos) and imaginary (-sin) parts
+      interleaved, so ``x @ table`` of real ``x`` is the half spectrum
+      laid out as complex128;
+    * ``"irfft"`` -- ``(2*bins, n)`` real: the weighted inverse halves.
+      With ``w_k = 2`` for the bins whose mirror is implied (1 for the
+      DC and, at even ``n``, the Nyquist bin), row ``2k`` holds
+      ``w_k cos(2*pi*k*j/n) / n`` and row ``2k+1`` holds
+      ``-w_k sin(2*pi*k*j/n) / n``, so the interleaved half spectrum
+      times the table is the real signal -- no Hermitian completion.
+    """
+    key = (kind, n)
+    with _PLAN_LOCK:
+        cached = _MATMUL_CACHE.get(key)
+        if cached is None:
+            _PLAN_COUNTERS["matmul_plan_misses"] += 1
+            bins = n // 2 + 1
+            if kind == "forward":
+                cached = dft_matrix(n)
+            elif kind == "inverse":
+                cached = idft_matrix(n)
+            elif kind == "rfft":
+                half = dft_matrix(n)[:, :bins]
+                cached = np.empty((n, 2 * bins))
+                cached[:, 0::2] = half.real
+                cached[:, 1::2] = half.imag
+            else:
+                weights = np.full(bins, 2.0 / n)
+                weights[0] = 1.0 / n
+                if n % 2 == 0:
+                    weights[-1] = 1.0 / n
+                # W_n's real part is cos and its imaginary part -sin.
+                half = dft_matrix(n)[:bins]
+                cached = np.empty((2 * bins, n))
+                cached[0::2] = weights[:, None] * half.real
+                cached[1::2] = weights[:, None] * half.imag
+            cached.setflags(write=False)
+            _MATMUL_CACHE[key] = cached
+        else:
+            _PLAN_COUNTERS["matmul_plan_hits"] += 1
+    return cached
+
+
+def _dft_matmul(array: np.ndarray, axis: int, table: np.ndarray) -> np.ndarray:
+    """Multiply ``array`` along ``axis`` by the symmetric DFT ``table``.
+
+    Numpy issues one GEMM per trailing plane on C-contiguous operands.
+    A column transform (axis -2) is taken as ``table @ planes`` on the
+    caller's layout -- the table is symmetric -- so no transposed copy
+    is made; every other axis is moved last and multiplied from the
+    right.
+    """
+    if array.ndim >= 2 and axis in (-2, array.ndim - 2):
+        return table @ np.ascontiguousarray(array, dtype=np.complex128)
+    moved = np.ascontiguousarray(np.moveaxis(array, axis, -1), dtype=np.complex128)
+    return np.moveaxis(moved @ table, -1, axis)
 
 
 def _forward_scale(n: int, norm: str) -> float:
@@ -324,25 +410,27 @@ def fft(x: np.ndarray, axis: int = -1, norm: str = "backward") -> np.ndarray:
     """Compute the 1-D DFT of ``x`` along ``axis``.
 
     Accepts real or complex input of any length and any batch shape.
-    Power-of-two lengths take the radix-2 path; others take Bluestein.
+    Power-of-two lengths take the radix-2 path, other lengths up to
+    ``_MATMUL_MAX_LENGTH`` the DFT matmul, and longer ones Bluestein.
     """
     if norm not in _VALID_NORMS:
         raise ValueError(f"norm must be one of {_VALID_NORMS}, got {norm!r}")
     array = np.asarray(x)
     if array.ndim == 0:
         raise ValueError("fft requires at least a 1-D input")
-    if array.shape[axis] == 0:
+    n = array.shape[axis]
+    if n == 0:
         raise ValueError("fft of an empty axis is undefined")
-    moved = np.moveaxis(array, axis, -1)
-    n = moved.shape[-1]
-    if is_power_of_two(n):
-        result = _fft_radix2(moved)
+    if _uses_matmul(n):
+        result = _dft_matmul(array, axis, _matmul_plan("forward", n))
     else:
-        result = _fft_bluestein(moved)
+        moved = np.moveaxis(array, axis, -1)
+        kernel = _fft_radix2 if is_power_of_two(n) else _fft_bluestein
+        result = np.moveaxis(kernel(moved), -1, axis)
     scale = _forward_scale(n, norm)
     if scale != 1.0:
         result = result * scale
-    return np.moveaxis(result, -1, axis)
+    return result
 
 
 def ifft(x: np.ndarray, axis: int = -1, norm: str = "backward") -> np.ndarray:
@@ -355,6 +443,11 @@ def ifft(x: np.ndarray, axis: int = -1, norm: str = "backward") -> np.ndarray:
     n = array.shape[axis]
     if n == 0:
         raise ValueError("ifft of an empty axis is undefined")
+    if _uses_matmul(n):
+        # The synthesis table already carries the backward 1/n.
+        result = _dft_matmul(array, axis, _matmul_plan("inverse", n))
+        rescale = 1.0 / _forward_scale(n, norm)
+        return result * rescale if rescale != 1.0 else result
     unnormalized = np.conj(fft(np.conj(array), axis=axis, norm="backward"))
     if norm == "backward":
         return unnormalized / n
@@ -418,9 +511,10 @@ def rfft(x: np.ndarray, axis: int = -1, norm: str = "backward") -> np.ndarray:
     For real signals the full spectrum is Hermitian
     (``X[n-k] == conj(X[k])``), so this returns only bins ``0..n//2``
     along ``axis`` -- half the storage, and for power-of-two lengths
-    half the transform work via the even/odd packing trick.  Other
-    lengths fall back to slicing the Bluestein full transform.  Complex
-    input is rejected (use :func:`fft`).
+    half the transform work via the even/odd packing trick.  Matmul
+    lengths multiply by the real cos/sin half table (one real GEMM per
+    plane, no complex upcast); longer lengths slice the Bluestein full
+    transform.  Complex input is rejected (use :func:`fft`).
     """
     if norm not in _VALID_NORMS:
         raise ValueError(f"norm must be one of {_VALID_NORMS}, got {norm!r}")
@@ -437,8 +531,11 @@ def rfft(x: np.ndarray, axis: int = -1, norm: str = "backward") -> np.ndarray:
         result = moved.astype(np.complex128)
     elif is_power_of_two(n):
         result = _rfft_packed(moved)
+    elif _uses_matmul(n):
+        real = np.ascontiguousarray(moved, dtype=np.float64)
+        result = (real @ _matmul_plan("rfft", n)).view(np.complex128)
     else:
-        result = _fft_bluestein(moved, half=True)
+        result = _fft_bluestein(moved)[..., : n // 2 + 1]
     scale = _forward_scale(n, norm)
     if scale != 1.0:
         result = result * scale
@@ -452,9 +549,11 @@ def irfft(
 
     The exact inverse of :func:`rfft` for every norm.  ``n`` defaults to
     ``2 * (bins - 1)`` (an even length); pass it explicitly to recover
-    odd lengths, and it must satisfy ``n//2 + 1 == bins``.  Power-of-two
-    lengths take the packed inverse; everything else reconstructs the
-    full Hermitian spectrum and runs the complex inverse transform.
+    odd lengths; it must be an integer with ``n//2 + 1 == bins``.
+    Power-of-two lengths take the packed inverse, and matmul lengths
+    multiply the half spectrum by the weighted inverse half table (one
+    real GEMM per plane).  Longer lengths reconstruct the full Hermitian
+    spectrum and run the complex inverse transform.
     """
     if norm not in _VALID_NORMS:
         raise ValueError(f"norm must be one of {_VALID_NORMS}, got {norm!r}")
@@ -466,6 +565,8 @@ def irfft(
         raise ValueError("irfft of an empty axis is undefined")
     if n is None:
         n = 2 * (bins - 1) if bins > 1 else 1
+    if int(n) != n:
+        raise ValueError(f"irfft output length must be an integer, got {n!r}")
     n = int(n)
     if n <= 0 or n // 2 + 1 != bins:
         raise ValueError(
@@ -475,13 +576,17 @@ def irfft(
     moved = np.moveaxis(array, axis, -1)
     if n == 1:
         result = np.real(moved).astype(np.float64)
-    elif is_power_of_two(n):
-        # Undo the forward norm first; the packed inverse is exact for
+    elif is_power_of_two(n) or _uses_matmul(n):
+        # Undo the forward norm first; both inverses are exact for
         # unnormalized (backward-convention) spectra.
         scale = _forward_scale(n, norm)
         if scale != 1.0:
             moved = moved / scale
-        result = _irfft_packed(moved, n)
+        if is_power_of_two(n):
+            result = _irfft_packed(moved, n)
+        else:
+            spectrum = np.ascontiguousarray(moved, dtype=np.complex128)
+            result = spectrum.view(np.float64) @ _matmul_plan("irfft", n)
     else:
         half = n // 2
         tail = np.conj(moved[..., 1 : n - half])[..., ::-1]
@@ -493,8 +598,9 @@ def irfft(
 def fft_plan_cache_info() -> dict[str, int]:
     """Entry counts and hit/miss counters of every FFT-layer plan cache.
 
-    Covers the radix-2 twiddle plans, bit-reversal tables and rFFT
-    untangling plans held here -- each with its lifetime ``*_hits`` /
+    Covers the radix-2 twiddle plans, bit-reversal tables, rFFT
+    untangling plans, Bluestein chirp plans and DFT-matmul tables held
+    here -- each with its lifetime ``*_hits`` /
     ``*_misses`` counters -- plus any registered sibling cache (the
     kernel-spectrum cache of :mod:`repro.fft.spectra`).
     """
@@ -504,6 +610,7 @@ def fft_plan_cache_info() -> dict[str, int]:
             "bit_reversal_tables": len(_BITREV_CACHE),
             "rfft_plans": len(_RFFT_CACHE),
             "bluestein_plans": len(_BLUESTEIN_CACHE),
+            "matmul_plans": len(_MATMUL_CACHE),
             # Per-thread: counts the calling thread's workspace shapes.
             "radix2_workspaces": len(getattr(_WORKSPACES, "buffers", {})),
         }
@@ -524,6 +631,7 @@ def clear_fft_plan_cache() -> None:
         _BITREV_CACHE.clear()
         _RFFT_CACHE.clear()
         _BLUESTEIN_CACHE.clear()
+        _MATMUL_CACHE.clear()
         for key in _PLAN_COUNTERS:
             _PLAN_COUNTERS[key] = 0
     getattr(_WORKSPACES, "buffers", {}).clear()

@@ -547,29 +547,42 @@ class TestQuantizedStreaming:
         )
 
     def test_quantized_wave_fleet_matches_quantized_loop(self):
-        """The acceptance contract: ExplanationPipeline(precision="int8")
-        scores match method="loop" at int8 bit for bit, streamed (wave)
-        and dense (pair)."""
-        pairs = planted_pairs(5, seed=10)
-        runs = {
-            mode: ExplanationPipeline(
-                small_backend(), granularity="blocks", block_shape=(2, 2),
-                eps=1e-8, precision="int8", **kwargs,
-            ).run(pairs)
-            for mode, kwargs in {
-                "wave": dict(fusion="wave"),
-                "pair": dict(fusion="pair"),
-                "loop": dict(method="loop"),
-            }.items()
-        }
-        for a, b, c in zip(
-            runs["wave"].explanations,
-            runs["pair"].explanations,
-            runs["loop"].explanations,
-        ):
-            np.testing.assert_array_equal(a.scores, b.scores)
-            np.testing.assert_array_equal(a.scores, c.scores)
-            assert a.residual == b.residual == c.residual
+        """The acceptance contract: ExplanationPipeline(precision=...)
+        scores match method="loop" bit for bit, streamed (wave), dense
+        (pair) and chunk-sharded across a pod.  The 12x12 planes take
+        the non-power-of-two (DFT-matmul) transform path, the 8x8 ones
+        radix-2."""
+        cases = [
+            ((8, 8), (2, 2), ["int8"]),
+            ((12, 12), (4, 4), ["fp32", "bf16", "int8"]),
+        ]
+        for shape, block_shape, precisions in cases:
+            pairs = planted_pairs(5, shape=shape, seed=10)
+            for precision in precisions:
+                runs = {
+                    mode: ExplanationPipeline(
+                        small_backend(), granularity="blocks",
+                        block_shape=block_shape, eps=1e-8,
+                        precision=precision, **kwargs,
+                    ).run(pairs)
+                    for mode, kwargs in {
+                        "wave": dict(fusion="wave"),
+                        "pair": dict(fusion="pair"),
+                        "loop": dict(method="loop"),
+                        "pod": dict(num_chips=2, placement="chunk"),
+                    }.items()
+                }
+                context = f"{shape} {precision}"
+                for a, b, c, d in zip(
+                    runs["wave"].explanations,
+                    runs["pair"].explanations,
+                    runs["loop"].explanations,
+                    runs["pod"].explanations,
+                ):
+                    np.testing.assert_array_equal(a.scores, b.scores, context)
+                    np.testing.assert_array_equal(a.scores, c.scores, context)
+                    np.testing.assert_array_equal(a.scores, d.scores, context)
+                    assert a.residual == b.residual == c.residual == d.residual
 
     def test_monotone_error_bound_holds_for_batched_execution(self):
         """quantization_error_bound's conv extension bounds executed

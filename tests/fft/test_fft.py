@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.fft import bit_reversal_permutation, fft, ifft, is_power_of_two, rfft
 from repro.fft.fft import (
+    _fft_bluestein,
     clear_fft_plan_cache,
     fft_plan_cache_info,
     next_power_of_two,
@@ -41,6 +42,16 @@ class TestPowersOfTwoPath:
 
 
 class TestBluesteinPath:
+    """Non-power-of-two lengths: through :func:`fft`, which serves these
+    short lengths with the DFT matmul, and through the chirp-z kernel
+    that takes over past the matmul cap."""
+
+    @pytest.mark.parametrize("n", BLUESTEIN_SIZES)
+    def test_chirp_z_kernel_matches_numpy(self, n):
+        rng = np.random.default_rng(n + 11)
+        x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        np.testing.assert_allclose(_fft_bluestein(x), np.fft.fft(x), atol=1e-8)
+
     @pytest.mark.parametrize("n", BLUESTEIN_SIZES)
     def test_matches_numpy_real_input(self, n):
         rng = np.random.default_rng(n)
@@ -143,15 +154,18 @@ class TestHelpers:
         clear_fft_plan_cache()
         fft(np.ones(32))
         rfft(np.ones(32))
+        rfft(np.ones(12))
         info = fft_plan_cache_info()
         assert info["twiddle_plans"] >= 1
         assert info["bit_reversal_tables"] >= 1
         assert info["rfft_plans"] >= 1
+        assert info["matmul_plans"] == 1
         clear_fft_plan_cache()
         info = fft_plan_cache_info()
         assert info["twiddle_plans"] == 0
         assert info["bit_reversal_tables"] == 0
         assert info["rfft_plans"] == 0
+        assert info["matmul_plans"] == 0
         # Registered sibling caches (the kernel-spectrum cache) are
         # covered by the same entry points.
         assert info["kernel_spectra"] == 0

@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from repro.fft import fft, fft2, fft_circular_convolve2d, ifft, irfft, rfft, rfft2
+from repro.fft.fft import (
+    _MATMUL_MAX_LENGTH,
+    clear_fft_plan_cache,
+    fft_plan_cache_info,
+)
 
 scipy_fft = pytest.importorskip("scipy.fft")
 
@@ -81,10 +86,27 @@ class TestNumericalStability:
 
     def test_long_bluestein_accuracy(self):
         """Bluestein's chirp padding must not degrade for long primes."""
-        n = 1009  # prime
+        n = 1031  # prime, past the DFT-matmul cap
         rng = np.random.default_rng(2)
         x = rng.standard_normal(n)
         np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-6)
+
+    @pytest.mark.parametrize("n", [1009, 1023, 1031, 1500])
+    def test_accuracy_either_side_of_matmul_cap(self, n):
+        """Lengths up to the cap run the DFT matmul, longer ones the
+        chirp-z transform; all four 1-D transforms match numpy on both."""
+        clear_fft_plan_cache()
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((2, n))
+        z = x + 1j * rng.standard_normal((2, n))
+        np.testing.assert_allclose(fft(z), np.fft.fft(z), atol=1e-6)
+        np.testing.assert_allclose(ifft(z), np.fft.ifft(z), atol=1e-9)
+        half = rfft(x)
+        np.testing.assert_allclose(half, np.fft.rfft(x), atol=1e-6)
+        np.testing.assert_allclose(irfft(half, n=n), x, atol=1e-9)
+        info = fft_plan_cache_info()
+        assert (info["matmul_plans"] > 0) == (n <= _MATMUL_MAX_LENGTH)
+        assert (info["bluestein_plans"] > 0) == (n > _MATMUL_MAX_LENGTH)
 
     def test_dc_only_signal(self):
         x = np.full(64, 3.0)

@@ -106,6 +106,10 @@ class TestIrfftInverse:
         with pytest.raises(ValueError, match="inconsistent"):
             irfft(np.ones(5, dtype=np.complex128), n=12)
 
+    def test_rejects_non_integral_n(self):
+        with pytest.raises(ValueError, match="integer"):
+            irfft(np.ones(3), n=4.5)
+
     def test_rejects_empty_axis(self):
         with pytest.raises(ValueError):
             irfft(np.ones((2, 0), dtype=np.complex128))

@@ -12,7 +12,14 @@ import gc
 import numpy as np
 import pytest
 
-from repro.fft.fft import clear_fft_plan_cache, fft_plan_cache_info, rfft
+from repro.fft.fft import (
+    clear_fft_plan_cache,
+    fft,
+    fft_plan_cache_info,
+    ifft,
+    irfft,
+    rfft,
+)
 from repro.fft.spectra import (
     clear_kernel_spectrum_cache,
     kernel_spectrum,
@@ -103,6 +110,24 @@ class TestFftPlanCounters:
         assert info["twiddle_plan_hits"] >= 1
         assert info["bit_reversal_hits"] >= 1
 
+    def test_matmul_counts_one_table_per_kind_and_length(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 12))
+        rfft(x)
+        info = fft_plan_cache_info()
+        assert info["matmul_plans"] == 1
+        assert (info["matmul_plan_misses"], info["matmul_plan_hits"]) == (1, 0)
+        rfft(x)
+        irfft(rfft(x), n=12)
+        ifft(fft(x))
+        info = fft_plan_cache_info()
+        assert info["matmul_plans"] == 4  # rfft, irfft, forward, inverse
+        assert (info["matmul_plan_misses"], info["matmul_plan_hits"]) == (4, 2)
+        # Power-of-two and past-the-cap lengths never build a table.
+        rfft(rng.standard_normal(16))
+        fft(rng.standard_normal(1031))
+        assert fft_plan_cache_info()["matmul_plan_misses"] == 4
+
     def test_workspace_counters(self):
         x = np.random.default_rng(1).standard_normal(16)
         rfft(x)
@@ -114,8 +139,10 @@ class TestFftPlanCounters:
 
     def test_clear_resets_counters(self):
         rfft(np.random.default_rng(2).standard_normal(16))
+        rfft(np.random.default_rng(2).standard_normal(12))
         clear_fft_plan_cache()
         info = fft_plan_cache_info()
+        assert info["matmul_plans"] == 0
         for key, value in info.items():
             if key.endswith(("_hits", "_misses")):
                 assert value == 0, key
