@@ -12,10 +12,12 @@ collectable by pytest.  Two traced workloads:
 
 Contracts asserted (pytest, and by ``--quick``):
 
-* **reconciliation** -- every traced pod commit's span tree reproduces
-  the pod ledger's elapsed decomposition *exactly* (max-over-chips
-  body, launch floor, collective rows, overlap credits), ``==`` on
-  floats (:func:`repro.obs.reconcile.reconcile_pod_trace`);
+* **reconciliation** -- every traced pod commit's recorded events equal,
+  as a multiset with ``==`` on floats, the events rebuilt from the
+  pod's commit and collective logs (max-over-chips body, launch floor,
+  collective rows, overlap credits), and the re-walked elapsed and the
+  ledger rows equal the committed ones
+  (:func:`repro.obs.reconcile.reconcile_pod_trace`);
 * **schema** -- the exported document is valid Chrome trace-event JSON
   (:func:`repro.obs.export.validate_chrome_trace` returns no
   problems), loadable in Perfetto / ``chrome://tracing``;
@@ -27,9 +29,11 @@ Runnable standalone::
 
     PYTHONPATH=src python benchmarks/bench_trace.py [--quick] [--json PATH]
 
-Writes ``BENCH_trace.json`` (``BENCH_trace_quick.json`` under
-``--quick``) plus the Perfetto-loadable span timelines
-``BENCH_fleet.trace.json`` and ``BENCH_serve.trace.json``.
+Writes ``BENCH_trace.json`` plus the Perfetto-loadable span timelines
+``BENCH_fleet.trace.json`` and ``BENCH_serve.trace.json``; ``--quick``
+writes ``BENCH_trace_quick.json``, ``BENCH_fleet_quick.trace.json`` and
+``BENCH_serve_quick.trace.json`` instead, leaving the committed full-run
+artifacts untouched.
 """
 
 import argparse
@@ -78,6 +82,8 @@ DEFAULT_JSON = Path("BENCH_trace.json")
 QUICK_JSON = Path("BENCH_trace_quick.json")
 FLEET_TRACE = Path("BENCH_fleet.trace.json")
 SERVE_TRACE = Path("BENCH_serve.trace.json")
+QUICK_FLEET_TRACE = Path("BENCH_fleet_quick.trace.json")
+QUICK_SERVE_TRACE = Path("BENCH_serve_quick.trace.json")
 
 
 def _stats_tuple(stats):
@@ -222,7 +228,8 @@ def _fleet_section(quick, trace_path):
     trace_path.write_text(json.dumps(doc) + "\n")
     print(
         f"FLEET TRACE ({pairs_n} pairs, {chips} chips, data placement): "
-        f"{num_events} events, {recon.checks} reconciliation checks, "
+        f"{num_events} events, {recon.num_events} pod events in "
+        f"{recon.checks} reconciliation checks, "
         f"{len(recon.failures)} failures, "
         f"{len(problems)} schema problems, off-identical={identical}"
     )
@@ -246,6 +253,7 @@ def _fleet_section(quick, trace_path):
         "simulated_seconds": run.simulated_seconds,
         "num_events": num_events,
         "reconciliation_checks": recon.checks,
+        "reconciled_events": recon.num_events,
         "reconciliation_failures": len(recon.failures),
         "traced_commits": recon.num_traced_commits,
         "waves": recon.num_waves,
@@ -274,7 +282,7 @@ def _serve_section(quick, trace_path):
         f"SERVE TRACE ({count} bursty requests, autopilot): "
         f"{num_events} events ({serve_events} serve-lane), "
         f"{decisions} controller decisions, "
-        f"{recon.checks} reconciliation checks, "
+        f"{recon.num_events} events in {recon.checks} reconciliation checks, "
         f"{len(recon.failures)} failures, "
         f"{len(problems)} schema problems, off-identical={identical}"
     )
@@ -297,6 +305,7 @@ def _serve_section(quick, trace_path):
         "serve_events": serve_events,
         "controller_decisions": decisions,
         "reconciliation_checks": recon.checks,
+        "reconciled_events": recon.num_events,
         "reconciliation_failures": len(recon.failures),
         "schema_problems": len(problems),
         "tracing_off_bit_identical": identical,
@@ -322,9 +331,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     clear_fft_plan_cache()
-    fleet_entry, fleet_failures = _fleet_section(args.quick, FLEET_TRACE)
+    fleet_trace, serve_trace = (
+        (QUICK_FLEET_TRACE, QUICK_SERVE_TRACE) if args.quick
+        else (FLEET_TRACE, SERVE_TRACE)
+    )
+    fleet_entry, fleet_failures = _fleet_section(args.quick, fleet_trace)
     print()
-    serve_entry, serve_failures = _serve_section(args.quick, SERVE_TRACE)
+    serve_entry, serve_failures = _serve_section(args.quick, serve_trace)
     failures = fleet_failures + serve_failures
 
     plan_info = fft_plan_cache_info()
@@ -339,8 +352,9 @@ def main(argv=None) -> int:
             if k.endswith(("_hits", "_misses"))
         },
         "contracts": {
-            "reconciliation": "per-wave span trees == pod ledger elapsed "
-            "decomposition, exact float equality",
+            "reconciliation": "recorded pod events == the events rebuilt "
+            "from the pod's commit and collective logs (multiset, exact "
+            "float equality); re-walked elapsed and ledger rows == committed",
             "schema": "chrome trace-event JSON with zero validator problems",
             "zero_overhead_off": "tracing disabled is bit-identical in "
             "scores, DeviceStats and ServiceReport.signature()",

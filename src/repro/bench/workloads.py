@@ -446,7 +446,7 @@ def fleet_interpretation_seconds(
     extra transfer latency per wave relative to the historical
     single-call feed; ``method="loop"`` and ``fusion="pair"`` numbers
     are untouched.)  ``pipelined=True`` models the double-buffered
-    executor (``FleetExecutor.run(pipelined=True)``): stages combine
+    executor (:meth:`~repro.core.fleet.FleetExecutor.run`): stages combine
     via :func:`repro.hw.device.pipelined_elapsed_seconds`, wave
     ``i+1``'s prologue hiding under wave ``i``'s compute --
     ``infeed_0 + sum(max(compute_i + outfeed_i, infeed_{i+1})) +

@@ -29,19 +29,16 @@ Two cost levers stack on top of the PR-2 wave fusion:
 
 * one dispatch round trip per *wave* instead of one per pair plus one
   per residual convolution (unchanged);
-* **wave-aware infeed pipelining** (``run(pipelined=True)``, the
-  default): waves execute inside a ``device.pipeline()`` scope, so wave
-  ``i+1``'s dispatch + infeed streams into the spare buffer while wave
-  ``i`` computes -- elapsed becomes ``infeed_0 + sum(max(compute_i +
-  outfeed_i, infeed_{i+1})) + outfeed_last`` (intermediate outfeeds
-  ride with their wave's compute on the full-duplex link; the last
-  outfeed is charged in full) and the hidden host-link time is
-  credited back as a negative ``infeed_overlap`` ledger row.
-  ``pipelined=False`` preserves the PR-2 serial timing exactly (and a
-  single-wave fleet times identically either way).
+* **wave-aware infeed pipelining**: waves execute inside a
+  ``device.pipeline()`` scope, so wave ``i+1``'s dispatch + infeed
+  streams into the spare buffer while wave ``i`` computes (see
+  :meth:`FleetExecutor.run`); the hidden host-link time is credited
+  back as a negative ``infeed_overlap`` ledger row, so the serial wave
+  sum stays readable as ``elapsed - infeed_overlap`` (a single-wave
+  fleet hides nothing).
 
 Scores, kernels and residuals are bit-identical to per-pair *and* to
-dense non-pipelined execution: the batched FFT kernels are
+dense execution: the batched FFT kernels are
 plane-independent and per-row reductions plane-local, so streaming and
 pipelining change only the cost ledger, never the numbers.
 
@@ -98,8 +95,8 @@ sharding axis:
 
 Per wave the pod records the remaining true collectives (for ``chunk``,
 the streamed kernel-spectra broadcast) and the per-chip host-link
-columns, and ``pipelined=True`` overlaps wave ``i+1``'s prologue with
-wave ``i``'s compute exactly the way :meth:`~repro.hw.device
+columns, and the pod overlaps wave ``i+1``'s prologue with wave
+``i``'s compute exactly the way :meth:`~repro.hw.device
 .Device.pipeline` overlaps infeed -- the hidden time comes back as the
 pod's negative ``collective_overlap`` ledger row, concurrency across
 chips as ``pod_compute_overlap``, and the launch round trips the
@@ -514,20 +511,18 @@ class FleetExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, pairs, pipelined: bool = True, plans=None) -> FleetRun:
+    def run(self, pairs, plans=None) -> FleetRun:
         """Explain every pair; returns results in input order.
 
-        ``pipelined=True`` (the default) executes the waves inside a
-        ``device.pipeline()`` scope: wave ``i+1``'s dispatch + infeed
-        overlaps wave ``i``'s compute, and the hidden host-link time is
-        credited back to the ledger (``infeed_overlap``), so multi-wave
-        fleets finish in ``infeed_0 + sum(max(compute_i + outfeed_i,
-        infeed_{i+1})) + outfeed_last`` (intermediate outfeeds riding
-        with their wave's compute) instead of the serial sum.
-        ``pipelined=False``
-        preserves the serial PR-2 timing exactly; results, per-op
-        compute records and dispatch counts are identical either way
-        (a single-wave fleet also times identically).
+        The waves execute inside a ``device.pipeline()`` scope: wave
+        ``i+1``'s dispatch + infeed overlaps wave ``i``'s compute, and
+        the hidden host-link time is credited back to the ledger
+        (``infeed_overlap``), so multi-wave fleets finish in
+        ``infeed_0 + sum(max(compute_i + outfeed_i, infeed_{i+1})) +
+        outfeed_last`` (intermediate outfeeds riding with their wave's
+        compute) instead of the serial sum.  On a pod the pod's own
+        stage model owns that overlap (:meth:`~repro.hw.pod.TpuPod
+        .commit_run`).
 
         ``plans`` optionally hands back pre-built lazy mask plans (one
         :class:`~repro.core.masking.MaskSpec` -- or ``None`` for the
@@ -557,23 +552,19 @@ class FleetExecutor:
                     "placement": (
                         self.config.placement if self.pod is not None else "single"
                     ),
-                    "pipelined": pipelined,
                 },
             )
         results: list[PairResult | None] = [None] * len(pairs)
         if self.pod is not None:
             # Pod execution: the pod's stage model owns all cross-wave
-            # overlap (pipelined=True overlaps wave i+1's collectives
-            # with wave i's compute); chip-level pipeline scopes are not
-            # opened, so overlap is never double-counted.
-            self._run_pod(schedule, xs, ys, plans, results, pipelined)
-        elif pipelined:
+            # overlap (wave i+1's collectives hide under wave i's
+            # compute); chip-level pipeline scopes are not opened, so
+            # overlap is never double-counted.
+            self._run_pod(schedule, xs, ys, plans, results)
+        else:
             with self.device.pipeline():
                 for wave in schedule.waves:
                     self._run_wave(wave, xs, ys, plans, results)
-        else:
-            for wave in schedule.waves:
-                self._run_wave(wave, xs, ys, plans, results)
         return FleetRun(results=tuple(results), schedule=schedule)
 
     def _wave_io(self, indices, xs, ys) -> tuple[int, int]:
@@ -701,7 +692,7 @@ class FleetExecutor:
     # ------------------------------------------------------------------
     # Pod execution: one wave sharded across K chips
     # ------------------------------------------------------------------
-    def _run_pod(self, schedule, xs, ys, plans, results, pipelined: bool) -> None:
+    def _run_pod(self, schedule, xs, ys, plans, results) -> None:
         """Drive every wave across the pod's chips and commit the ledger."""
         pod = self.pod
         placement = self.config.placement
@@ -730,7 +721,7 @@ class FleetExecutor:
                     **collectives,
                 )
             )
-        pod.commit_run(wave_stats, pipelined=pipelined)
+        pod.commit_run(wave_stats)
 
     def _run_wave_data(self, pod, wave, xs, ys, plans, results) -> dict:
         """Data placement: the wave's pairs split contiguously across chips.

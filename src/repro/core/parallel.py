@@ -199,8 +199,6 @@ class MultiInputScheduler:
         self,
         pairs,
         config: ExplainConfig | None = None,
-        *,
-        pipelined: bool = True,
         **fields,
     ) -> FleetRun:
         """Explain a fleet of pairs on this chip, one program per wave.
@@ -212,9 +210,9 @@ class MultiInputScheduler:
         cross-pair chunked batched convolution, so the fleet pays one
         dispatch per wave instead of one (plus a residual round trip)
         per pair, in ``O(chunk_rows * M * N)`` host memory.
-        ``pipelined`` (default ``True``) double-buffers the waves --
-        wave ``i+1``'s infeed overlaps wave ``i``'s compute, the chip
-        ledger crediting the hidden time as an ``infeed_overlap`` event.
+        The waves double-buffer -- wave ``i+1``'s infeed overlaps wave
+        ``i``'s compute, the chip ledger crediting the hidden time as an
+        ``infeed_overlap`` event.
         Executor options -- an :class:`~repro.core.config.ExplainConfig`
         and/or its keyword ``fields`` -- pass through, notably
         ``precision="int8"|"bf16"|"fp32"|"fp64"`` runs every wave's
@@ -231,7 +229,7 @@ class MultiInputScheduler:
         """
         executor = self._fleet_executor(config, **fields)
         executor.device.reset_stats()
-        fleet = executor.run(pairs, pipelined=pipelined)
+        fleet = executor.run(pairs)
         return replace(fleet, stats=executor.device.take_stats())
 
     def _fleet_executor(self, config, **fields) -> FleetExecutor:

@@ -34,9 +34,9 @@ control the execution structure:
 Wave fusion is additionally *streaming* and *pipelined*: each wave's
 mask stack is generated lazily and convolved in ``chunk_rows``-bounded
 chunks (peak memory ``O(chunk_rows * M * N)`` however many masks the
-fleet fuses), and with ``pipelined=True`` (default) wave ``i+1``'s
-dispatch + infeed overlaps wave ``i``'s compute, crediting the hidden
-host-link time back as a negative ``infeed_overlap`` ledger row.
+fleet fuses), and wave ``i+1``'s dispatch + infeed overlaps wave
+``i``'s compute, crediting the hidden host-link time back as a negative
+``infeed_overlap`` ledger row.
 
 A third orthogonal axis, ``precision``, selects the numeric mode of the
 interpretation convolutions (``"fp64"``/``"fp32"`` exact, ``"bf16"``
@@ -130,13 +130,6 @@ class ExplanationPipeline:
         :mod:`repro.core.fleet`); ``"pair"`` opens one program scope
         per pair.  Only consulted for ``method="batched"``; the loop
         method always executes per pair.
-    pipelined:
-        Wave fusion only: ``True`` (default) double-buffers wave
-        execution -- wave ``i+1``'s dispatch + infeed overlaps wave
-        ``i``'s compute inside a ``device.pipeline()`` scope, the
-        hidden time credited back as a negative ``infeed_overlap``
-        ledger row.  ``False`` preserves serial wave timing (results
-        and per-op compute records are identical either way).
     num_chips, interconnect:
         Pod scaling (wave fusion only): ``num_chips=K > 1`` replicates
         ``device`` into a :class:`~repro.hw.pod.TpuPod` of K clones,
@@ -155,7 +148,6 @@ class ExplanationPipeline:
         *,
         method: str = "batched",
         fusion: str = "wave",
-        pipelined: bool = True,
         num_chips: int | None = None,
         interconnect=None,
         **fields,
@@ -179,7 +171,6 @@ class ExplanationPipeline:
             )
         self.method = method
         self.fusion = fusion
-        self.pipelined = pipelined
 
     def explain_pair(self, x: np.ndarray, y: np.ndarray) -> PairExplanation:
         """Distill and interpret one pair (no program scoping)."""
@@ -272,9 +263,7 @@ class ExplanationPipeline:
         return ExplanationService(self.device, self.config, **service_kwargs)
 
     def _run_wave(self, pairs) -> InterpretationRun:
-        fleet = FleetExecutor(self.device, self.config).run(
-            pairs, pipelined=self.pipelined
-        )
+        fleet = FleetExecutor(self.device, self.config).run(pairs)
         stats = self.device.take_stats()
         explanations = [
             PairExplanation(

@@ -51,6 +51,11 @@ auditable in :attr:`TpuPod.chip_stats`, and
 :attr:`TpuPod.collective_log` itemizes every wave's collective seconds
 plus its per-chip host-link columns.
 
+There is one timeline: :func:`wave_timeline` positions every wave and
+sums the elapsed the ledger commits, and :func:`pod_trace_events`
+turns those same windows into the run's span tree, which is all the
+tracer records and all :mod:`repro.obs.reconcile` rebuilds.
+
 Single ops executed directly on the pod (outside the fleet path)
 delegate their cost and numerics to the root chip -- a pod prices like
 its root for unsharded work.
@@ -59,16 +64,11 @@ its root for unsharded work.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.hw.device import (
-    Device,
-    DeviceStats,
-    PipelineStage,
-    pipelined_elapsed_seconds,
-)
+from repro.hw.device import Device, DeviceStats, PipelineStage
 from repro.hw.interconnect import Interconnect, InterconnectConfig
-from repro.obs.tracer import tracer
+from repro.obs.tracer import TraceEvent, tracer
 
 
 def clone_device(device: Device, hbm_bytes: int | None = None) -> Device:
@@ -203,6 +203,21 @@ class PodWaveStats:
         return max(self.busy_seconds, default=0.0)
 
     @property
+    def chip_phases(self) -> tuple[tuple[float, float, float], ...]:
+        """Per-chip ``(infeed, compute, outfeed)`` split of
+        :attr:`busy_seconds`: the host-link columns (zero where
+        unlogged), with compute the remainder."""
+        pad = (0.0,) * len(self.chip_seconds)
+        return tuple(
+            (infeed, max(0.0, busy - infeed - outfeed), outfeed)
+            for busy, infeed, outfeed in zip(
+                self.busy_seconds,
+                tuple(self.infeed_seconds) + pad,
+                tuple(self.outfeed_seconds) + pad,
+            )
+        )
+
+    @property
     def launch_exposed_seconds(self) -> float:
         """Launch latency the wave cannot hide: a wave never completes
         faster than one launch round trip."""
@@ -254,19 +269,18 @@ class WaveWindow:
     end: float
 
 
-def wave_timeline(wave_stats, pipelined: bool = True):
+def wave_timeline(wave_stats):
     """Per-wave :class:`WaveWindow` positions plus the run's elapsed.
 
     Walks the committed waves exactly the way :meth:`TpuPod.commit_run`
-    prices them -- shared waves chain (double-buffered when
-    ``pipelined``), chip-pinned waves partition into concurrent
-    per-chip chains starting after the shared segment -- and returns
-    ``(windows, elapsed)`` with ``windows`` aligned to the input order.
-    The ``elapsed`` float is **bit-identical** to the ledger's: the
-    accumulation order matches :func:`~repro.hw.device
-    .pipelined_elapsed_seconds` / the serial stage sum term for term,
-    so span positions derived from the windows reconcile with the pod
-    ledger by ``==``, not by tolerance.
+    prices them -- shared waves chain double-buffered, chip-pinned
+    waves partition into concurrent per-chip chains starting after the
+    shared segment -- and returns ``(windows, elapsed)`` with
+    ``windows`` aligned to the input order.  Each chain accumulates
+    term for term like :func:`~repro.hw.device.pipelined_elapsed_seconds`,
+    so ``elapsed`` is **bit-identical** to that model and span positions
+    derived from the windows reconcile with the pod ledger by ``==``,
+    not by tolerance.
     """
     wave_stats = list(wave_stats)
     shared = [ws for ws in wave_stats if ws.chip_index is None]
@@ -274,53 +288,35 @@ def wave_timeline(wave_stats, pipelined: bool = True):
     for ws in wave_stats:
         if ws.chip_index is not None:
             pinned.setdefault(ws.chip_index, []).append(ws)
+    windows: dict[int, WaveWindow] = {}
 
-    def chain_elapsed(waves) -> float:
-        stages = [ws.stage for ws in waves]
-        if pipelined:
-            return pipelined_elapsed_seconds(stages)
-        return sum(stage.total for stage in stages)
-
-    def chain_windows(waves, base: float) -> dict:
-        windows: dict[int, WaveWindow] = {}
+    def chain(waves, base: float) -> float:
+        """Position one double-buffered chain from ``base``; its elapsed."""
         stages = [ws.stage for ws in waves]
         if not stages:
-            return windows
-        if pipelined:
-            # Mirror pipelined_elapsed_seconds' accumulator: stage i's
-            # body begins at the accumulated elapsed (its prologue has
-            # streamed under the previous stage's work).
-            elapsed = stages[0].prologue
-            for index, (ws, stage) in enumerate(zip(waves, stages)):
-                last = index == len(stages) - 1
-                body_start = base + elapsed
-                body_end = body_start + stage.body
-                windows[id(ws)] = WaveWindow(
-                    prologue_start=body_start - stage.prologue,
-                    body_start=body_start,
-                    body_end=body_end,
-                    end=body_end + stage.epilogue,
-                )
-                work = stage.body + (0.0 if last else stage.epilogue)
-                next_prologue = 0.0 if last else stages[index + 1].prologue
-                elapsed += max(work, next_prologue)
-        else:
-            cursor = base
-            for ws, stage in zip(waves, stages):
-                body_start = cursor + stage.prologue
-                body_end = body_start + stage.body
-                end = body_end + stage.epilogue
-                windows[id(ws)] = WaveWindow(cursor, body_start, body_end, end)
-                cursor = end
-        return windows
+            return 0.0
+        # Stage i's body begins at the accumulated elapsed: its prologue
+        # has streamed under the previous stage's work.
+        elapsed = stages[0].prologue
+        for index, (ws, stage) in enumerate(zip(waves, stages)):
+            last = index == len(stages) - 1
+            body_start = base + elapsed
+            body_end = body_start + stage.body
+            windows[id(ws)] = WaveWindow(
+                prologue_start=body_start - stage.prologue,
+                body_start=body_start,
+                body_end=body_end,
+                end=body_end + stage.epilogue,
+            )
+            work = stage.body + (0.0 if last else stage.epilogue)
+            next_prologue = 0.0 if last else stages[index + 1].prologue
+            elapsed += max(work, next_prologue)
+        return elapsed + stages[-1].epilogue
 
-    shared_elapsed = chain_elapsed(shared) if shared else 0.0
-    windows = chain_windows(shared, 0.0)
+    shared_elapsed = chain(shared, 0.0)
     elapsed = shared_elapsed
     if pinned:
-        elapsed += max(chain_elapsed(waves) for waves in pinned.values())
-        for waves in pinned.values():
-            windows.update(chain_windows(waves, shared_elapsed))
+        elapsed += max(chain(waves, shared_elapsed) for waves in pinned.values())
     return [windows[id(ws)] for ws in wave_stats], elapsed
 
 
@@ -328,24 +324,122 @@ def wave_timeline(wave_stats, pipelined: bool = True):
 class PodCommit:
     """One :meth:`TpuPod.commit_run` entry in the pod's commit log.
 
-    ``trace_base`` is the absolute session timestamp of the run's local
-    zero when the commit was traced (``None`` when tracing was off), so
-    the reconciler can re-derive every span position from the logged
-    waves and compare against the recorded trace exactly.
+    ``serial`` is the waves' stage sum without overlap, so ``serial -
+    elapsed`` is the ``collective_overlap`` credit.  ``trace_base`` is
+    the absolute session timestamp of the run's local zero when the
+    commit was traced (``None`` when tracing was off), from which
+    :func:`pod_trace_events` rebuilds the commit's events exactly.
     """
 
     num_waves: int
-    pipelined: bool
     elapsed: float
     serial: float
     credits: tuple  # ((op, seconds) pairs actually credited)
     trace_base: float | None
 
 
-#: tid scheme of pod-category spans: shared waves use lanes 0..2
+#: tid scheme of pod-category events: shared waves use lanes 0..2
 #: (body / leading collectives / gather); waves pinned to chip ``c``
 #: use ``3 * (1 + c)`` upward; per-chip busy bars sit at ``64 + c``.
 _POD_CHIP_BAR_TID = 64
+_POD_LANE_ROLES = ("waves", "collectives", "gather")
+
+
+def _pod_lane_name(tid: int) -> str:
+    if tid >= _POD_CHIP_BAR_TID:
+        return f"chip {tid - _POD_CHIP_BAR_TID}"
+    role = _POD_LANE_ROLES[tid % 3]
+    return role if tid < 3 else f"chip {tid // 3 - 1} {role}"
+
+
+def pod_trace_events(commit_index: int, commit: PodCommit, waves, windows) -> list:
+    """Every pod-lane event of one traced commit, in emission order.
+
+    A pure function of the ledger's own numbers: ``waves`` are the
+    commit's :class:`PodWaveStats` and ``windows`` their
+    :func:`wave_timeline` positions, offset by ``commit.trace_base``.
+    Returns :class:`~repro.obs.tracer.TraceEvent` records (pid left 0,
+    flow ids unassigned): the commit instant; per wave its body span,
+    the leading collectives (scatter, exposed launch, broadcast --
+    a placement-gated body carries its broadcast inside the timeline,
+    so that one is an instant), the launch instant, the gather, and
+    each busy chip's infeed / compute / outfeed bars
+    (:attr:`PodWaveStats.chip_phases`); then one ``s``/``f`` flow pair
+    per overlap credit from the run's start to its end.  Zero
+    quantities emit nothing.  :meth:`TpuPod.commit_run` emits exactly
+    this list and :func:`repro.obs.reconcile.reconcile_pod_trace`
+    rebuilds it to compare against what was recorded.
+    """
+    base = commit.trace_base
+    events = []
+
+    def add(ph, name, ts, tid, args, dur=0.0):
+        events.append(
+            TraceEvent(ph=ph, name=name, category="pod", ts=ts, dur=dur,
+                       tid=tid, args=args)
+        )
+
+    add("i", "commit", base, 0, {
+        "commit": commit_index,
+        "elapsed": commit.elapsed,
+        "serial": commit.serial,
+        "num_waves": commit.num_waves,
+    })
+    for ws, win in zip(waves, windows):
+        gated = ws.gated_body_seconds is not None
+        lane = 0 if ws.chip_index is None else 3 * (1 + ws.chip_index)
+        tags = {"commit": commit_index, "wave": ws.wave_index}
+        add("X", "wave", base + win.body_start, lane, {
+            **tags,
+            "placement": ws.placement,
+            "pairs": ws.num_pairs,
+            "rows": ws.num_rows,
+            "active_chips": ws.active_chips,
+            "gated": gated,
+        }, ws.stage.body)
+        cursor = base + win.prologue_start
+        if ws.scatter_seconds > 0.0:
+            add("X", "scatter", cursor, lane + 1,
+                {**tags, "bytes": ws.scatter_bytes}, ws.scatter_seconds)
+            cursor += ws.scatter_seconds
+        if ws.launch_exposed_seconds > 0.0:
+            add("X", "launch_exposed", cursor, lane + 1, dict(tags),
+                ws.launch_exposed_seconds)
+            cursor += ws.launch_exposed_seconds
+        if ws.dispatch_seconds > 0.0 or ws.launched_chips > 0:
+            add("i", "launch", base + win.prologue_start, lane + 1, {
+                **tags,
+                "dispatch_seconds": ws.dispatch_seconds,
+                "launched_chips": ws.launched_chips,
+                "exposed": ws.launch_exposed_seconds,
+                "hidden": ws.launch_hidden_seconds,
+            })
+        if ws.broadcast_seconds > 0.0:
+            if gated:
+                add("i", "broadcast", base + win.body_start, lane + 1, {
+                    **tags, "seconds": ws.broadcast_seconds,
+                    "bytes": ws.broadcast_bytes,
+                })
+            else:
+                add("X", "broadcast", cursor, lane + 1,
+                    {**tags, "bytes": ws.broadcast_bytes}, ws.broadcast_seconds)
+        if ws.gather_seconds > 0.0:
+            add("X", "gather", base + win.body_end, lane + 2,
+                {**tags, "bytes": ws.gather_bytes}, ws.gather_seconds)
+        for chip, phases in enumerate(ws.chip_phases):
+            if ws.chip_seconds[chip] <= 0.0:
+                continue
+            cursor = base + win.body_start
+            for name, dur in zip(("infeed", "compute", "outfeed"), phases):
+                if dur > 0.0:
+                    add("X", name, cursor, _POD_CHIP_BAR_TID + chip,
+                        {**tags, "chip": chip}, dur)
+                cursor += dur
+    for op, seconds in commit.credits:
+        args = {"commit": commit_index, "seconds": seconds}
+        add("s", op, base, 1, args)
+        add("f", op, base + commit.elapsed, 2, dict(args))
+    return events
 
 
 class TpuPod(Device):
@@ -467,22 +561,20 @@ class TpuPod(Device):
         self.collective_log.clear()
         self.commit_log.clear()
 
-    def commit_run(self, wave_stats, pipelined: bool = True) -> float:
+    def commit_run(self, wave_stats) -> float:
         """Fold one sharded fleet run into the pod ledger; returns elapsed.
 
         Harvests every chip's ledger delta (merging the rows into both
         the per-chip audit ledgers and the pod roll-up), records the
         waves' collective rows, and reconciles ``stats.seconds`` from
         *total work* down to *elapsed* with the three negative credits
-        described in the module docstring.  Waves carrying a
-        ``chip_index`` (the ``"wave"`` placement) run **concurrently
-        across chips**: their stages group per chip, each chip's
-        sequence pipelines (or sums, under ``pipelined=False``), and
-        elapsed is the slowest chip's sequence plus the remaining
-        serial waves.  ``pipelined=False`` keeps the serial stage sum
-        (no ``collective_overlap`` credit beyond the per-chip launch
-        hiding, which is a property of the asynchronous host links, not
-        of cross-wave double-buffering).
+        described in the module docstring.  Waves double-buffer along
+        :func:`wave_timeline`; waves carrying a ``chip_index`` (the
+        ``"wave"`` placement) run **concurrently across chips**: their
+        stages group per chip, each chip's sequence pipelines, and
+        elapsed is the slowest chip's sequence plus the shared waves.
+        With tracing on, the run's :func:`pod_trace_events` land on the
+        pod's trace lanes.
         """
         wave_stats = list(wave_stats)
         traced = tracer.enabled
@@ -513,7 +605,7 @@ class TpuPod(Device):
                 )
                 rows_total += ws.gather_seconds
         serial = sum(ws.stage.total for ws in wave_stats)
-        windows, elapsed = wave_timeline(wave_stats, pipelined)
+        windows, elapsed = wave_timeline(wave_stats)
         credits = []
         if launch_hidden > 0:
             self.stats.credit("host_link_overlap", launch_hidden)
@@ -531,19 +623,18 @@ class TpuPod(Device):
             self.stats.credit("collective_overlap", savings)
             credits.append(("collective_overlap", savings))
         self.collective_log.extend(wave_stats)
-        base = tracer.origin + entry_trace if traced else None
-        self.commit_log.append(
-            PodCommit(
-                num_waves=len(wave_stats),
-                pipelined=pipelined,
-                elapsed=elapsed,
-                serial=serial,
-                credits=tuple(credits),
-                trace_base=base,
-            )
+        commit = PodCommit(
+            num_waves=len(wave_stats),
+            elapsed=elapsed,
+            serial=serial,
+            credits=tuple(credits),
+            trace_base=tracer.origin + entry_trace if traced else None,
         )
+        self.commit_log.append(commit)
         if traced and tracer.enabled:
-            self._trace_commit(wave_stats, windows, elapsed, serial, base, credits)
+            self._trace_commit(
+                pod_trace_events(len(self.commit_log) - 1, commit, wave_stats, windows)
+            )
             # Park the lane at the run's far edge: the next commit's
             # spans must not regress into this one even when the ledger
             # (post-credit) sits below the timeline extent.
@@ -551,147 +642,27 @@ class TpuPod(Device):
             self._trace_base = entry_trace + run_extent - self.stats.seconds
         return elapsed
 
-    def _elapsed(self, wave_stats, pipelined: bool) -> float:
-        """Elapsed seconds of the committed waves.
-
-        Waves without a ``chip_index`` run one after another across the
-        whole pod (data / chunk placements): their stages chain, double
-        buffered when ``pipelined``.  Waves pinned to chips (``"wave"``
-        placement) partition round-robin: each chip chains its own
-        waves and the chips run concurrently, so that segment costs the
-        slowest chip's chain.  Delegates to :func:`wave_timeline`, the
-        shared walk that also positions the trace spans.
-        """
-        _, elapsed = wave_timeline(wave_stats, pipelined)
-        return elapsed
-
-    def _trace_commit(
-        self, wave_stats, windows, elapsed, serial, base, credits
-    ) -> None:
-        """Emit one committed run's span tree onto the pod's trace lanes.
-
-        Lane scheme (per :data:`_POD_CHIP_BAR_TID`): shared waves put
-        their body on tid 0, leading collectives (scatter, exposed
-        launch, broadcast) on tid 1 and the gather epilogue on tid 2;
-        chip-pinned waves shift the same three roles to ``3 * (1 +
-        chip)``.  Per-chip busy bars (infeed / compute / outfeed, the
-        :func:`repro.obs.export.format_wave_timeline` decomposition)
-        land on ``64 + chip``.  Overlap credits become flow arrows from
-        the run's start to its end, carrying the credited seconds; the
-        reconciler rebuilds the pod ledger from exactly these events.
-        """
-        commit_index = len(self.commit_log) - 1
+    def _trace_commit(self, events) -> None:
+        """Emit one commit's :func:`pod_trace_events` on the pod's pid."""
         pid = tracer.pid_for(self)
-        tracer.set_thread_name(pid, 0, "waves")
-        tracer.set_thread_name(pid, 1, "collectives")
-        tracer.set_thread_name(pid, 2, "gather")
-        tracer.instant(
-            "commit", "pod", base, pid, 0,
-            {
-                "commit": commit_index,
-                "elapsed": elapsed,
-                "serial": serial,
-                "num_waves": len(wave_stats),
-            },
-        )
-        for ws, win in zip(wave_stats, windows):
-            stage = ws.stage
-            gated = ws.gated_body_seconds is not None
-            if ws.chip_index is None:
-                lane = 0
+        for tid in sorted({0, 1, 2} | {event.tid for event in events}):
+            tracer.set_thread_name(pid, tid, _pod_lane_name(tid))
+        for event in events:
+            if event.ph == "X":
+                tracer.complete(
+                    event.name, "pod", event.ts, event.dur, pid, event.tid, event.args
+                )
+            elif event.ph == "i":
+                tracer.instant(event.name, "pod", event.ts, pid, event.tid, event.args)
+            elif event.ph == "s":
+                source = event
             else:
-                lane = 3 * (1 + ws.chip_index)
-                tracer.set_thread_name(pid, lane, f"chip {ws.chip_index} waves")
-                tracer.set_thread_name(pid, lane + 1, f"chip {ws.chip_index} collectives")
-                tracer.set_thread_name(pid, lane + 2, f"chip {ws.chip_index} gather")
-            tags = {"commit": commit_index, "wave": ws.wave_index}
-            tracer.complete(
-                "wave", "pod", base + win.body_start, stage.body, pid, lane,
-                {
-                    **tags,
-                    "placement": ws.placement,
-                    "pairs": ws.num_pairs,
-                    "rows": ws.num_rows,
-                    "active_chips": ws.active_chips,
-                    "gated": gated,
-                },
-            )
-            cursor = base + win.prologue_start
-            if ws.scatter_seconds > 0.0:
-                tracer.complete(
-                    "scatter", "pod", cursor, ws.scatter_seconds, pid, lane + 1,
-                    {**tags, "bytes": ws.scatter_bytes},
+                tracer.flow(
+                    event.name, "pod",
+                    src=(source.ts, pid, source.tid),
+                    dst=(event.ts, pid, event.tid),
+                    args=event.args,
                 )
-                cursor += ws.scatter_seconds
-            if ws.launch_exposed_seconds > 0.0:
-                tracer.complete(
-                    "launch_exposed", "pod", cursor, ws.launch_exposed_seconds,
-                    pid, lane + 1, dict(tags),
-                )
-                cursor += ws.launch_exposed_seconds
-            if ws.dispatch_seconds > 0.0 or ws.launched_chips > 0:
-                tracer.instant(
-                    "launch", "pod", base + win.prologue_start, pid, lane + 1,
-                    {
-                        **tags,
-                        "dispatch_seconds": ws.dispatch_seconds,
-                        "launched_chips": ws.launched_chips,
-                        "exposed": ws.launch_exposed_seconds,
-                        "hidden": ws.launch_hidden_seconds,
-                    },
-                )
-            if ws.broadcast_seconds > 0.0:
-                if gated:
-                    # A gated body already carries its broadcast waits
-                    # inside the timeline; annotate instead of spanning.
-                    tracer.instant(
-                        "broadcast", "pod", base + win.body_start, pid, lane + 1,
-                        {**tags, "seconds": ws.broadcast_seconds,
-                         "bytes": ws.broadcast_bytes},
-                    )
-                else:
-                    tracer.complete(
-                        "broadcast", "pod", cursor, ws.broadcast_seconds,
-                        pid, lane + 1, {**tags, "bytes": ws.broadcast_bytes},
-                    )
-                    cursor += ws.broadcast_seconds
-            if ws.gather_seconds > 0.0:
-                tracer.complete(
-                    "gather", "pod", base + win.body_end, ws.gather_seconds,
-                    pid, lane + 2, {**tags, "bytes": ws.gather_bytes},
-                )
-            busy = ws.busy_seconds
-            for chip, chip_busy in enumerate(busy):
-                if ws.chip_seconds[chip] <= 0.0:
-                    continue
-                tid = _POD_CHIP_BAR_TID + chip
-                tracer.set_thread_name(pid, tid, f"chip {chip}")
-                infeed = (
-                    ws.infeed_seconds[chip]
-                    if chip < len(ws.infeed_seconds) else 0.0
-                )
-                outfeed = (
-                    ws.outfeed_seconds[chip]
-                    if chip < len(ws.outfeed_seconds) else 0.0
-                )
-                compute = max(0.0, chip_busy - infeed - outfeed)
-                cursor = base + win.body_start
-                for name, dur in (
-                    ("infeed", infeed), ("compute", compute), ("outfeed", outfeed)
-                ):
-                    if dur > 0.0:
-                        tracer.complete(
-                            name, "pod", cursor, dur, pid, tid,
-                            {**tags, "chip": chip},
-                        )
-                    cursor += dur
-        for op, seconds in credits:
-            tracer.flow(
-                op, "pod",
-                src=(base, pid, 1),
-                dst=(base + elapsed, pid, 2),
-                args={"commit": commit_index, "seconds": seconds},
-            )
 
     # ------------------------------------------------------------------
     # Cost and numeric hooks: unsharded work prices like the root chip

@@ -219,8 +219,9 @@ def format_wave_timeline(collective_log, width: int = 48) -> str:
     Renders ``pod.collective_log`` (a list of :class:`~repro.hw.pod
     .PodWaveStats`) directly -- no tracer needed: one block per wave
     with a bar per busy chip (``=`` infeed, ``#`` compute, ``-``
-    outfeed, scaled to the wave's slowest chip) and a collectives
-    footer when the wave moved fabric or launch time.
+    outfeed -- the :attr:`~repro.hw.pod.PodWaveStats.chip_phases`
+    split the pod spans use -- scaled to the wave's slowest chip) and
+    a collectives footer when the wave moved fabric or launch time.
     """
     if width <= 0:
         raise ValueError("plot width must be positive")
@@ -237,14 +238,10 @@ def format_wave_timeline(collective_log, width: int = 48) -> str:
             f"{ws.num_pairs:4d} pairs {ws.num_rows:6d} rows   "
             f"body {ws.body_seconds * 1e3:8.3f} ms{pinned}"
         )
-        for chip, chip_busy in enumerate(busy):
+        for chip, (infeed, compute, outfeed) in enumerate(ws.chip_phases):
+            chip_busy = busy[chip]
             if chip_busy <= 0.0:
                 continue
-            infeed = ws.infeed_seconds[chip] if chip < len(ws.infeed_seconds) else 0.0
-            outfeed = (
-                ws.outfeed_seconds[chip] if chip < len(ws.outfeed_seconds) else 0.0
-            )
-            compute = max(0.0, chip_busy - infeed - outfeed)
             in_cols = int(round(infeed / span * width))
             out_cols = int(round(outfeed / span * width))
             comp_cols = max(0, int(round(chip_busy / span * width)) - in_cols - out_cols)

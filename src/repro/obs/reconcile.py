@@ -4,11 +4,9 @@ The acceptance invariant of the observability layer: the span tree a
 traced pod run emits must reproduce the pod ledger's elapsed
 decomposition **exactly** -- max-over-chips body, launch floor,
 collective rows, overlap credits -- with ``==`` on floats, never a
-tolerance.  :func:`reconcile_pod_trace` recomputes every span position
-from ``pod.commit_log`` + ``pod.collective_log`` via
-:func:`~repro.hw.pod.wave_timeline` (the same walk the emitter and the
-ledger use) and cross-checks the recorded trace events and the
-``DeviceStats`` rows against it.
+tolerance.  The emitter and this checker share one builder,
+:func:`~repro.hw.pod.pod_trace_events`, so the check is one of
+coverage: every event the logs imply was recorded, and nothing else.
 
 This module imports :mod:`repro.hw.pod` and is therefore **not**
 re-exported from ``repro.obs`` (the hardware layer imports the tracer;
@@ -18,9 +16,10 @@ it directly: ``from repro.obs.reconcile import assert_reconciles``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.hw.pod import TpuPod, wave_timeline
+from repro.hw.pod import TpuPod, pod_trace_events, wave_timeline
 from repro.obs.tracer import Tracer, tracer as _global_tracer
 
 #: The negative ledger rows a pod commit may write, in commit order.
@@ -41,6 +40,7 @@ class ReconciliationReport:
     num_commits: int = 0
     num_traced_commits: int = 0
     num_waves: int = 0
+    num_events: int = 0
     checks: int = 0
     failures: list = field(default_factory=list)
 
@@ -58,12 +58,16 @@ class ReconciliationReport:
         return (
             f"<ReconciliationReport {state}: {self.checks} checks over "
             f"{self.num_traced_commits}/{self.num_commits} traced commits, "
-            f"{self.num_waves} waves>"
+            f"{self.num_waves} waves, {self.num_events} events>"
         )
 
 
-def _span_key(event) -> tuple:
-    return (event.name, event.args.get("wave"), event.args.get("chip"))
+def _event_key(event) -> tuple:
+    """What must match: phase, name, lane, position, duration, args."""
+    return (
+        event.ph, event.name, event.tid, event.ts, event.dur,
+        tuple(sorted(event.args.items())),
+    )
 
 
 def reconcile_pod_trace(
@@ -71,14 +75,13 @@ def reconcile_pod_trace(
 ) -> ReconciliationReport:
     """Cross-check a pod's recorded trace against its ledger, exactly.
 
-    Walks every traced commit in ``pod.commit_log``: recomputes the
-    per-wave :class:`~repro.hw.pod.WaveWindow` positions with
-    :func:`~repro.hw.pod.wave_timeline`, asserts the recomputed elapsed
-    equals the committed one, and requires every pod-category event --
-    wave bodies, scatter/launch/broadcast prologue spans, gathers,
-    per-chip infeed/compute/outfeed bars, credit flow arrows -- to sit
-    at exactly the recomputed position with exactly the ledger
-    duration (a missing span must correspond to a zero quantity).
+    For every traced commit in ``pod.commit_log``: re-walks
+    :func:`~repro.hw.pod.wave_timeline` over the commit's logged waves
+    and asserts the recomputed elapsed equals the committed one, then
+    rebuilds the commit's events with
+    :func:`~repro.hw.pod.pod_trace_events` and requires the recorded
+    pod-category events carrying that commit index to equal them as a
+    multiset (one check for missing events, one for unexpected ones).
     Then rebuilds the pod ledger's collective and credit rows from the
     logs in commit order and compares them ``==`` against ``stats``
     (default ``pod.stats``; pass a harvested copy when the ledger has
@@ -89,13 +92,13 @@ def reconcile_pod_trace(
     report = ReconciliationReport(num_commits=len(pod.commit_log))
 
     pid = trace._pids.get(id(pod))
-    events_by_commit: dict[int, list] = {}
+    recorded: dict[int, Counter] = {}
     for event in trace.events:
         if event.category != "pod" or (pid is not None and event.pid != pid):
             continue
         commit = event.args.get("commit")
         if commit is not None:
-            events_by_commit.setdefault(commit, []).append(event)
+            recorded.setdefault(commit, Counter())[_event_key(event)] += 1
 
     offset = 0
     for index, commit in enumerate(pod.commit_log):
@@ -105,164 +108,47 @@ def reconcile_pod_trace(
             continue
         report.num_traced_commits += 1
         report.num_waves += len(waves)
-        base = commit.trace_base
-        windows, elapsed = wave_timeline(waves, commit.pipelined)
+        windows, elapsed = wave_timeline(waves)
         report.check(
             elapsed == commit.elapsed,
             f"commit {index}: recomputed elapsed {elapsed!r} != "
             f"committed {commit.elapsed!r}",
         )
-        events = events_by_commit.get(index, [])
-        spans: dict[tuple, list] = {}
-        instants: dict[tuple, list] = {}
-        flows: dict[str, float] = {}
-        for event in events:
-            if event.ph == "X":
-                spans.setdefault(_span_key(event), []).append(event)
-            elif event.ph == "i":
-                instants.setdefault(_span_key(event), []).append(event)
-            elif event.ph == "s":
-                flows[event.name] = event.args.get("seconds")
-
-        def expect_span(name, wave, chip, ts, dur, label):
-            key = (name, wave, chip)
-            found = spans.get(key, [])
-            if dur > 0.0:
-                report.check(
-                    len(found) == 1,
-                    f"commit {index} {label}: expected one {name!r} span, "
-                    f"found {len(found)}",
-                )
-                if len(found) == 1:
-                    event = found[0]
-                    report.check(
-                        event.ts == ts,
-                        f"commit {index} {label}: {name!r} ts {event.ts!r} "
-                        f"!= {ts!r}",
-                    )
-                    report.check(
-                        event.dur == dur,
-                        f"commit {index} {label}: {name!r} dur {event.dur!r} "
-                        f"!= {dur!r}",
-                    )
-            else:
-                report.check(
-                    not found,
-                    f"commit {index} {label}: {name!r} span recorded for a "
-                    f"zero quantity",
-                )
-
-        for ws, win in zip(waves, windows):
-            label = f"wave {ws.wave_index}"
-            stage = ws.stage
-            gated = ws.gated_body_seconds is not None
-            expect_span(
-                "wave", ws.wave_index, None,
-                base + win.body_start, stage.body, label,
-            )
-            cursor = base + win.prologue_start
-            expect_span(
-                "scatter", ws.wave_index, None, cursor, ws.scatter_seconds, label
-            )
-            cursor += ws.scatter_seconds if ws.scatter_seconds > 0.0 else 0.0
-            expect_span(
-                "launch_exposed", ws.wave_index, None,
-                cursor, ws.launch_exposed_seconds, label,
-            )
-            cursor += (
-                ws.launch_exposed_seconds
-                if ws.launch_exposed_seconds > 0.0 else 0.0
-            )
-            if gated:
-                expect_span(
-                    "broadcast", ws.wave_index, None, cursor, 0.0, label
-                )
-                if ws.broadcast_seconds > 0.0:
-                    found = instants.get(("broadcast", ws.wave_index, None), [])
-                    report.check(
-                        len(found) == 1
-                        and found[0].args.get("seconds") == ws.broadcast_seconds,
-                        f"commit {index} {label}: gated broadcast instant "
-                        f"missing or wrong",
-                    )
-            else:
-                expect_span(
-                    "broadcast", ws.wave_index, None,
-                    cursor, ws.broadcast_seconds, label,
-                )
-            expect_span(
-                "gather", ws.wave_index, None,
-                base + win.body_end, ws.gather_seconds, label,
-            )
-            if ws.dispatch_seconds > 0.0 or ws.launched_chips > 0:
-                found = instants.get(("launch", ws.wave_index, None), [])
-                good = (
-                    len(found) == 1
-                    and found[0].args.get("dispatch_seconds") == ws.dispatch_seconds
-                    and found[0].args.get("launched_chips") == ws.launched_chips
-                    and found[0].args.get("exposed") == ws.launch_exposed_seconds
-                    and found[0].args.get("hidden") == ws.launch_hidden_seconds
-                )
-                report.check(
-                    good,
-                    f"commit {index} {label}: launch instant missing or its "
-                    f"args disagree with the wave stats",
-                )
-            busy = ws.busy_seconds
-            for chip, chip_busy in enumerate(busy):
-                if ws.chip_seconds[chip] <= 0.0:
-                    continue
-                infeed = (
-                    ws.infeed_seconds[chip]
-                    if chip < len(ws.infeed_seconds) else 0.0
-                )
-                outfeed = (
-                    ws.outfeed_seconds[chip]
-                    if chip < len(ws.outfeed_seconds) else 0.0
-                )
-                compute = max(0.0, chip_busy - infeed - outfeed)
-                bar_cursor = base + win.body_start
-                for name, dur in (
-                    ("infeed", infeed),
-                    ("compute", compute),
-                    ("outfeed", outfeed),
-                ):
-                    expect_span(
-                        name, ws.wave_index, chip, bar_cursor, dur,
-                        f"{label} chip {chip}",
-                    )
-                    bar_cursor += dur
+        expected = Counter(
+            _event_key(event)
+            for event in pod_trace_events(index, commit, waves, windows)
+        )
+        report.num_events += sum(expected.values())
+        got = recorded.get(index, Counter())
+        missing, extra = expected - got, got - expected
         report.check(
-            flows == {op: seconds for op, seconds in commit.credits},
-            f"commit {index}: credit flow events {flows!r} != committed "
-            f"credits {dict(commit.credits)!r}",
+            not missing,
+            f"commit {index}: {sum(missing.values())} ledger events not "
+            f"recorded, e.g. {list(missing)[:2]}",
+        )
+        report.check(
+            not extra,
+            f"commit {index}: {sum(extra.values())} recorded events the "
+            f"ledger does not hold, e.g. {list(extra)[:2]}",
         )
 
-    # ------------------------------------------------------------------
-    # Ledger rows: rebuild every pod row from the logs, in commit order,
-    # with the same accumulation the ledger used.
-    # ------------------------------------------------------------------
-    for op, attr in COLLECTIVE_OPS:
-        expected = 0.0
-        for ws in pod.collective_log:
-            value = getattr(ws, attr)
-            if value:
-                expected += value
+    # Ledger rows: rebuild every pod row from the logs in commit order
+    # (adding a zero or negating a sum is exact, so == still holds).
+    rebuilt = [
+        ("ledger", op, sum(getattr(ws, attr) for ws in pod.collective_log))
+        for op, attr in COLLECTIVE_OPS
+    ] + [
+        ("credit", op, -sum(
+            seconds for commit in pod.commit_log
+            for name, seconds in commit.credits if name == op
+        ))
+        for op in CREDIT_OPS
+    ]
+    for kind, op, expected in rebuilt:
+        recorded_row = stats.op_seconds.get(op, 0.0)
         report.check(
-            stats.op_seconds.get(op, 0.0) == expected,
-            f"ledger row {op!r}: {stats.op_seconds.get(op, 0.0)!r} != "
-            f"rebuilt {expected!r}",
-        )
-    for op in CREDIT_OPS:
-        expected = 0.0
-        for commit in pod.commit_log:
-            for name, seconds in commit.credits:
-                if name == op:
-                    expected -= seconds
-        report.check(
-            stats.op_seconds.get(op, 0.0) == expected,
-            f"credit row {op!r}: {stats.op_seconds.get(op, 0.0)!r} != "
-            f"rebuilt {expected!r}",
+            recorded_row == expected,
+            f"{kind} row {op!r}: {recorded_row!r} != rebuilt {expected!r}",
         )
     return report
 

@@ -22,9 +22,9 @@ throughput:
    max-wait/max-batch policy coalesces them per
    ``(granularity, block_shape, precision)`` key;
 4. a full or due batch dispatches through
-   :meth:`FleetExecutor.run(pipelined=True) <repro.core.fleet
-   .FleetExecutor.run>` -- one wave-fused, double-buffered program
-   train -- with submit-time **plan reuse** (each plane shape's
+   :meth:`FleetExecutor.run <repro.core.fleet.FleetExecutor.run>` --
+   one wave-fused, double-buffered program train -- with submit-time
+   **plan reuse** (each plane shape's
    :class:`~repro.core.masking.MaskSpec` is built once, ever) and
    chunk-adaptive wave planning, and the clock advances by exactly the
    device's simulated seconds;
@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.config import ExplainConfig
+from repro.core.distillation import ConvolutionDistiller
 from repro.core.fleet import FleetExecutor, feed_bytes
 from repro.core.masking import MaskSpec
 from repro.hw.device import Device
@@ -222,6 +223,8 @@ class ExplanationService:
         self._key_memo: dict = {}
         self._spec_memo: dict = {}
         self._digest_memo = DigestMemo()
+        # Vets arrivals with the fleet's own output lift (see _accept).
+        self._lifter = ConvolutionDistiller(embedding=self.config.embedding)
         # Lifetime observability counters (across process() calls) and
         # the weak metrics-registry hookup: registering never extends
         # the service's lifetime, and a dead service drops out of
@@ -488,12 +491,15 @@ class ExplanationService:
         ledger: LatencyLedger,
         clock: SimulatedClock,
     ) -> None:
-        """One arrival: admission first, then cache, then the batch queue.
+        """One arrival: validity, admission, then cache, then the queue.
 
-        Backpressure precedes everything else so a rejected request is
-        genuinely cheap -- no digest hashing, no cache traffic, no
-        skewed miss counters; only admitted arrivals get the cache
-        lookup (a hit then completes without queueing).
+        A pair the fleet could not explain -- ``x`` not a matrix, or a
+        ``y`` the distiller cannot lift onto ``x``'s plane -- is
+        rejected with the distiller's reason before it can join (and
+        abort) a batch.  Backpressure precedes everything else so a
+        rejected request is genuinely cheap -- no digest hashing, no
+        cache traffic, no skewed miss counters; only admitted arrivals
+        get the cache lookup (a hit then completes without queueing).
         """
         key = self.batch_key(request)
         spec = self._spec(key.precision)
@@ -504,6 +510,12 @@ class ExplanationService:
                 {"id": request.request_id, "key": list(key.as_tuple())},
             )
 
+        try:
+            FleetExecutor._check_plane(request.x)
+            self._lifter.lift_outputs(request.y, 1, request.x.shape)
+        except ValueError as error:
+            self._reject(request, key, ledger, clock, "invalid_request", str(error))
+            return
         feed_nbytes = feed_bytes([request.x, request.y], spec)
         decision = ADMITTED
         if self.admission is not None:
@@ -515,21 +527,7 @@ class ExplanationService:
                 key_bytes=batcher.pending_bytes_for(key),
             )
         if not decision.admitted:
-            self._lifetime["rejected"] += 1
-            if tracer.enabled:
-                tracer.instant(
-                    "admission_shed", "serve", clock.now, 0, 0,
-                    {"id": request.request_id, "reason": decision.reason},
-                )
-            ledger.add(
-                RequestRecord(
-                    request_id=request.request_id,
-                    arrival_time=request.arrival_time,
-                    status="rejected",
-                    batch_key=key.as_tuple(),
-                    reject_reason=decision.reason,
-                )
-            )
+            self._reject(request, key, ledger, clock, "admission_shed", decision.reason)
             return
 
         digest = None
@@ -583,6 +581,24 @@ class ExplanationService:
             ),
         )
 
+    def _reject(self, request, key, ledger, clock, event: str, reason: str) -> None:
+        """Record one rejected arrival: no queue, no cache, no device."""
+        self._lifetime["rejected"] += 1
+        if tracer.enabled:
+            tracer.instant(
+                event, "serve", clock.now, 0, 0,
+                {"id": request.request_id, "reason": reason},
+            )
+        ledger.add(
+            RequestRecord(
+                request_id=request.request_id,
+                arrival_time=request.arrival_time,
+                status="rejected",
+                batch_key=key.as_tuple(),
+                reject_reason=reason,
+            )
+        )
+
     def _dispatch(
         self,
         key: BatchKey,
@@ -604,7 +620,6 @@ class ExplanationService:
             tracer.origin = dispatch_time - self.device.trace_seconds
         fleet = executor.run(
             [(q.request.x, q.request.y) for q in batch],
-            pipelined=True,
             plans=[q.plan for q in batch],
         )
         # Device time is the only non-arrival source of simulated time.
@@ -720,7 +735,7 @@ class ExplanationService:
             traced = tracer.enabled
             if traced:
                 tracer.origin = start - self.device.trace_seconds
-            fleet = executor.run([(x, y)], pipelined=True, plans=[plan])
+            fleet = executor.run([(x, y)], plans=[plan])
             cost = self.device.stats.seconds - before
             clock.advance(cost)
             self._warm_cost_estimate = max(self._warm_cost_estimate, cost)

@@ -118,28 +118,26 @@ class TestCommitRun:
         assert pod.stats.op_seconds["pod_compute_overlap"] == pytest.approx(-0.4)
 
     def test_serial_vs_pipelined_overlap_credit(self):
+        """The collective_overlap credit is exactly serial - elapsed."""
         waves = [
             wave(0, [0.5, 0.5], scatter=0.2, gather=0.1),
             wave(1, [0.5, 0.5], scatter=0.2, gather=0.1),
         ]
-        serial_pod = make_tpu_pod(2, num_cores=4)
-        for device in serial_pod.devices:
+        pod = make_tpu_pod(2, num_cores=4)
+        for device in pod.devices:
             device.stats.record("conv2d_batch", 1.0)
-        serial = serial_pod.commit_run(waves, pipelined=False)
+        elapsed = pod.commit_run(waves)
+        commit = pod.commit_log[-1]
 
-        piped_pod = make_tpu_pod(2, num_cores=4)
-        for device in piped_pod.devices:
-            device.stats.record("conv2d_batch", 1.0)
-        piped = piped_pod.commit_run(waves, pipelined=True)
-
-        assert piped == pytest.approx(
-            pipelined_elapsed_seconds([w.stage for w in waves])
+        assert elapsed == commit.elapsed == pipelined_elapsed_seconds(
+            [w.stage for w in waves]
         )
-        assert piped < serial
-        assert piped_pod.stats.op_seconds["collective_overlap"] == pytest.approx(
-            piped - serial
+        assert commit.serial == sum(w.stage.total for w in waves)
+        assert elapsed < commit.serial
+        assert pod.stats.op_seconds["collective_overlap"] == -(
+            commit.serial - elapsed
         )
-        assert "collective_overlap" not in serial_pod.stats.op_seconds
+        assert ("collective_overlap", commit.serial - elapsed) in commit.credits
 
     def test_chip_stats_harvested(self):
         pod = make_tpu_pod(2, num_cores=4)

@@ -347,3 +347,48 @@ class TestRequestValidation:
             ExplanationService(CpuDevice(), granularity="blocks")
         with pytest.raises(ValueError):
             make_service(reduction="magic")
+
+    def test_unliftable_output_is_rejected_and_the_rest_replay_bitwise(self):
+        """A ``y`` the distiller cannot lift onto ``x`` is rejected at
+        arrival; every other request completes exactly as in a replay
+        that never contained it."""
+        requests = trace(count=24, seed=17)
+        victim = requests[9]
+        bad = type(victim)(
+            request_id=999, arrival_time=victim.arrival_time,
+            x=victim.x, y=victim.y[:8],
+        )
+        service = make_service()
+        report = service.process(requests + [bad])
+        clean = make_service().process(requests)
+
+        (rejected,) = report.ledger.rejected
+        assert rejected.request_id == 999
+        assert "8 output vectors for 1 inputs" in rejected.reject_reason
+        assert service.metrics_counters()["rejected"] == 1
+        assert report.completed_count == clean.completed_count == len(requests)
+        assert report.stats.seconds == clean.stats.seconds
+        ours, theirs = report.results_by_id(), clean.results_by_id()
+        assert ours.keys() == theirs.keys()
+        for request_id, result in theirs.items():
+            np.testing.assert_array_equal(ours[request_id].scores, result.scores)
+            np.testing.assert_array_equal(ours[request_id].kernel, result.kernel)
+            assert ours[request_id].residual == result.residual
+        completions = {
+            r.request_id: r.completion_time
+            for r in report.ledger.records if r.status == "completed"
+        }
+        assert completions == {
+            r.request_id: r.completion_time
+            for r in clean.ledger.records if r.status == "completed"
+        }
+
+    def test_non_matrix_input_is_rejected(self):
+        requests = trace(count=1, seed=18)
+        bad = type(requests[0])(
+            request_id=0, arrival_time=0.0, x=requests[0].x[0], y=requests[0].y,
+        )
+        report = make_service().process([bad])
+        (rejected,) = report.ledger.rejected
+        assert "must be matrices" in rejected.reject_reason
+        assert report.num_dispatches == 0
